@@ -36,19 +36,6 @@ eventLabel(const hb::HbEvent &ev, const Graph *graph)
     return s;
 }
 
-void
-diag(LintReport &report, LintSeverity sev, const char *rule, TensorId tensor,
-     int access, std::string msg)
-{
-    LintDiagnostic d;
-    d.severity = sev;
-    d.rule = rule;
-    d.tensor = tensor;
-    d.accessIndex = access;
-    d.message = std::move(msg);
-    report.diags.push_back(std::move(d));
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -501,11 +488,11 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
     HbClocks clocks = assignVectorClocks(analysis);
     if (!clocks.acyclic) {
         const HbEvent &ev = analysis.events[clocks.cycleEvent];
-        diag(report, LintSeverity::Error, "hb-cycle", ev.tensor,
-             ev.accessIndex,
-             "ordering edges form a cycle through " +
-                 eventLabel(ev, graph) +
-                 "; the implied schedule cannot execute");
+        report.add(LintSeverity::Error, "hb-cycle", ev.tensor,
+                   ev.accessIndex,
+                   "ordering edges form a cycle through " +
+                       eventLabel(ev, graph) +
+                       "; the implied schedule cannot execute");
         return report;
     }
 
@@ -548,12 +535,13 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
                 bool ab = clocks.ordered(a.id, b.id);
                 bool ba = clocks.ordered(b.id, a.id);
                 if (!ab && !ba) {
-                    diag(report, LintSeverity::Error, raceRule(a, b),
-                         key.first, a.accessIndex,
-                         "unordered conflicting operations on device buffer #" +
-                             std::to_string(key.second) + ": " +
-                             eventLabel(a, graph) + " vs " +
-                             eventLabel(b, graph));
+                    report.add(LintSeverity::Error, raceRule(a, b),
+                               key.first, a.accessIndex,
+                               "unordered conflicting operations on device "
+                               "buffer #" +
+                                   std::to_string(key.second) + ": " +
+                                   eventLabel(a, graph) + " vs " +
+                                   eventLabel(b, graph));
                     ++reported;
                     continue;
                 }
@@ -561,11 +549,12 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
                 const HbEvent *second = ab ? &b : &a;
                 if (first->op == HbOp::BufferFree &&
                     second->op != HbOp::BufferFree) {
-                    diag(report, LintSeverity::Error, "hb-use-after-free",
-                         key.first, second->accessIndex,
-                         eventLabel(*second, graph) +
-                             " is ordered after the free of device buffer #" +
-                             std::to_string(key.second));
+                    report.add(LintSeverity::Error, "hb-use-after-free",
+                               key.first, second->accessIndex,
+                               eventLabel(*second, graph) +
+                                   " is ordered after the free of device "
+                                   "buffer #" +
+                                   std::to_string(key.second));
                     ++reported;
                 }
             }
@@ -587,13 +576,13 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
                 const HbEvent &outEv = isSwapOut(a) ? a : b;
                 const HbEvent &inEv = isSwapOut(a) ? b : a;
                 if (!clocks.ordered(outEv.id, inEv.id)) {
-                    diag(report, LintSeverity::Error,
-                         "hb-swapin-before-swapout", key.first, 0,
-                         eventLabel(inEv, graph) +
-                             " reads host copy #" +
-                             std::to_string(key.second) +
-                             " without being ordered after " +
-                             eventLabel(outEv, graph));
+                    report.add(LintSeverity::Error,
+                               "hb-swapin-before-swapout", key.first, 0,
+                               eventLabel(inEv, graph) +
+                                   " reads host copy #" +
+                                   std::to_string(key.second) +
+                                   " without being ordered after " +
+                                   eventLabel(outEv, graph));
                     ++reported;
                 }
             }
@@ -625,15 +614,16 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
                 break;
             auto w = static_cast<std::uint32_t>(writer);
             if (!clocks.ordered(w, id)) {
-                diag(report, LintSeverity::Error,
-                     writerOp == HbOp::SwapInEnd ? "hb-unsequenced-prefetch"
-                                                 : "hb-unsequenced-recompute",
-                     key.first, ev.accessIndex,
-                     eventLabel(ev, graph) +
-                         " is not ordered after the " +
-                         std::string(hbOpName(writerOp)) +
-                         " that fills device buffer #" +
-                         std::to_string(key.second));
+                report.add(LintSeverity::Error,
+                           writerOp == HbOp::SwapInEnd
+                               ? "hb-unsequenced-prefetch"
+                               : "hb-unsequenced-recompute",
+                           key.first, ev.accessIndex,
+                           eventLabel(ev, graph) +
+                               " is not ordered after the " +
+                               std::string(hbOpName(writerOp)) +
+                               " that fills device buffer #" +
+                               std::to_string(key.second));
                 ++reported;
             }
         }
@@ -654,11 +644,12 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
                 auto a = static_cast<std::uint32_t>(it->second);
                 if (analysis.events[a].buffer == ev.buffer &&
                     !clocks.ordered(a, ev.id)) {
-                    diag(report, LintSeverity::Error, "hb-copy-before-retire",
-                         ev.tensor, analysis.events[a].accessIndex,
-                         eventLabel(ev, graph) +
-                             " is not ordered after the evicting access " +
-                             eventLabel(analysis.events[a], graph));
+                    report.add(LintSeverity::Error, "hb-copy-before-retire",
+                               ev.tensor, analysis.events[a].accessIndex,
+                               eventLabel(ev, graph) +
+                                   " is not ordered after the evicting "
+                                   "access " +
+                                   eventLabel(analysis.events[a], graph));
                 }
             }
         }
@@ -675,13 +666,14 @@ checkTimestamps(const HbAnalysis &analysis, const Graph *graph)
         const hb::HbEvent &from = analysis.events[e.from];
         const hb::HbEvent &to = analysis.events[e.to];
         if (from.end > to.start) {
-            diag(report, LintSeverity::Error, "hb-timestamp-violation",
-                 to.tensor, to.accessIndex,
-                 std::string(e.rule) + " edge contradicted by the trace: " +
-                     eventLabel(from, graph) + " ends at " +
-                     std::to_string(from.end) + " but " +
-                     eventLabel(to, graph) + " starts at " +
-                     std::to_string(to.start));
+            report.add(LintSeverity::Error, "hb-timestamp-violation",
+                       to.tensor, to.accessIndex,
+                       std::string(e.rule) +
+                           " edge contradicted by the trace: " +
+                           eventLabel(from, graph) + " ends at " +
+                           std::to_string(from.end) + " but " +
+                           eventLabel(to, graph) + " starts at " +
+                           std::to_string(to.start));
             if (report.diags.size() >= kMaxReports)
                 break;
         }

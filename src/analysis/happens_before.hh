@@ -71,7 +71,7 @@ struct HbAnalysis
  * access inside the eviction hole regenerates on demand) so that clean
  * plans are race-free by construction and corrupted ones are not.
  * Structurally invalid items (anchors missing from the trace) are skipped
- * here — the lifetime analysis and PlanChecker report those.
+ * here — the PlanChecker reports those.
  */
 HbAnalysis buildPlanEventGraph(const Plan &plan, const Graph &graph,
                                const AccessTracker &tracker,

@@ -6,7 +6,6 @@
 
 #include "analysis/baseline_plans.hh"
 #include "analysis/happens_before.hh"
-#include "analysis/lifetime_analysis.hh"
 #include "support/logging.hh"
 
 namespace capu
@@ -55,24 +54,9 @@ runPlanLint(const Plan &plan, const Graph &graph,
 
     PlanChecker checker(graph, tracker, opts);
     LintReport report = checker.check(plan, bytes_of, swap_time);
-
-    if (hook.happensBefore) {
-        HbAnalysis hb =
-            buildPlanEventGraph(plan, graph, tracker, bytes_of, swap_time);
-        LintReport races = checkHappensBefore(hb, &graph);
-        for (auto &d : races.diags)
-            report.diags.push_back(std::move(d));
-    }
-    if (hook.lifetime) {
-        LifetimeOptions lopts;
-        lopts.gpuCapacity = opts.gpuCapacity;
-        lopts.capacitySlack = opts.capacitySlack;
-        lopts.maxRecomputeChain = opts.maxRecomputeChain;
-        LifetimeResult lt = analyzeLifetimes(plan, graph, tracker, bytes_of,
-                                             swap_time, lopts);
-        for (auto &d : lt.report.diags)
-            report.diags.push_back(std::move(d));
-    }
+    report.append(checkHappensBefore(
+        buildPlanEventGraph(plan, graph, tracker, bytes_of, swap_time),
+        &graph));
 
     if (hook.printFindings && !report.diags.empty()) {
         std::cerr << who << " plan lint findings:\n";

@@ -30,10 +30,6 @@ struct LintHookOptions
     bool panicOnError = true;
     /** Print the diagnostics table (stderr) when findings exist. */
     bool printFindings = true;
-    /** Also run the capuverify happens-before race scan (hb-*). */
-    bool happensBefore = true;
-    /** Also run the tensor-lifetime dataflow analysis (lifetime-*). */
-    bool lifetime = true;
 };
 
 /** Install the plan audit on a Capuchin policy's options. */
@@ -48,9 +44,10 @@ void enablePlanLint(VdnnPolicy &policy, LintHookOptions hook = {});
 void enablePlanLint(CheckpointingPolicy &policy, LintHookOptions hook = {});
 
 /**
- * Shared tail: fill capacities from the context, run the checker, print,
- * and panic on errors per `hook`. Returns the report for callers that
- * want it (tests, capusim --lint summary).
+ * Shared tail: fill capacities from the context, run the checker and the
+ * happens-before race scan, print, and panic on errors per `hook`.
+ * Returns the report for callers that want it (tests, capusim --lint
+ * summary).
  */
 LintReport runPlanLint(const Plan &plan, const Graph &graph,
                        const AccessTracker &tracker, ExecContext &ctx,

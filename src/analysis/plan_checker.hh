@@ -11,31 +11,41 @@
  * recorded access trace *before* guided execution starts and emits
  * structured diagnostics.
  *
- * Checked rules (see DESIGN.md "Plan invariants" for citations):
+ * One placement pass resolves each item's trace anchors and derives the
+ * ticks its GPU chunk is released and re-acquired, with the executor's
+ * conventions: a swap frees at transfer completion and re-allocates at
+ * its in-trigger (or one SwapTime before the back-access); a drop frees
+ * at the evicting kernel and re-allocates at the replay. Every rule reads
+ * that placement, and each invariant has exactly one rule (DESIGN.md §7
+ * has the full table with citations):
  *
- *  use-after-evict        every access between an item's evicted-access
- *                         and its regeneration point must be covered
- *  duplicate-item         a tensor may be evicted/prefetched once per plan
- *  missing-access /       the item's access indices must exist in the
- *  bad-interval           trace, back strictly after evict
- *  time-inversion         (warning) the corrected timeline runs backwards
- *                         across the pair — interval math is meaningless
- *  prefetch-*             the in-trigger must exist in the trace (error);
- *                         one that fires late or while still resident
- *                         degrades to on-demand fetching (warning, §4.4)
- *  negative-ft-prefetch   a swap claimed hidden (overhead < exposure)
- *                         whose FT is negative under the cost model —
- *                         the feedback loop can never fix it (Eq. 1)
- *  exposed-swap           (warning) FT < 0 but the exposure is budgeted
- *  recompute-*            lineage sources resident/host-backed at replay
- *                         time, no cycles (errors); chain within budget
- *                         (warning — an MSPS red flag, §4.4)
- *  memory-overcommit      replaying the plan over the hypothetical usage
- *                         curve must fit GPU capacity; error when the
- *                         plan also fails to deliver its claimed savings
- *                         (re-planning cannot fix that), else warning —
- *                         passive mode + refinement absorb the rest
- *  host-overcommit        host staging must fit the HostPool capacity
+ *  duplicate-item           a tensor may be evicted/prefetched once per plan
+ *  missing-access           the item's access indices must exist in the trace
+ *  lifetime-empty-interval  the back-access strictly follows the eviction
+ *  time-inversion           (warning) the corrected timeline runs backwards
+ *                           across the pair — interval math is meaningless
+ *  lifetime-use-after-free  no access may fall inside the eviction window
+ *  negative-ft-prefetch     a swap claimed hidden (overhead < exposure)
+ *                           whose FT is negative under the cost model —
+ *                           the feedback loop can never fix it (Eq. 1)
+ *  exposed-swap             (warning) FT < 0 but the exposure is budgeted
+ *  prefetch-*               the in-trigger must exist in the trace (error);
+ *                           one that is absent, late, or fires while the
+ *                           tensor is still resident degrades to
+ *                           on-demand fetching (warnings, §4.4)
+ *  lifetime-source-window / every replay source is resident, host-backed
+ *  lifetime-lineage-cycle   or regenerable at replay time, acyclically
+ *                           (errors); recompute-chain-too-long (warning —
+ *                           an MSPS red flag, §4.4)
+ *  memory-overcommit        replaying the plan over the hypothetical usage
+ *                           curve must fit GPU capacity; error when the
+ *                           plan also fails to deliver its claimed savings
+ *                           (re-planning cannot fix that), else warning —
+ *                           passive mode + refinement absorb the rest
+ *  host-overcommit          host staging must fit the HostPool capacity
+ *
+ * Findings are reported in plan-item order; the plan-wide memory rules
+ * come last.
  */
 
 #ifndef CAPU_ANALYSIS_PLAN_CHECKER_HH
@@ -45,6 +55,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/access_tracker.hh"
@@ -76,6 +87,16 @@ struct LintDiagnostic
 struct LintReport
 {
     std::vector<LintDiagnostic> diags;
+    /** Static peak bound of the replayed plan (activations + weights) and
+     *  the tick it is first attained; set by PlanChecker::check. */
+    std::uint64_t peakBound = 0;
+    Tick peakAt = 0;
+
+    /** Append one finding. */
+    void add(LintSeverity severity, std::string rule, TensorId tensor,
+             int access, std::string message);
+    /** Move `other`'s findings to the end of this report. */
+    void append(LintReport &&other);
 
     std::size_t errorCount() const;
     std::size_t warningCount() const;
@@ -87,7 +108,7 @@ struct LintReport
 
 struct PlanCheckerOptions
 {
-    /** GPU pool capacity; 0 disables the memory-window rule. */
+    /** GPU pool capacity; 0 disables the memory-overcommit rule. */
     std::uint64_t gpuCapacity = 0;
     /** Host staging capacity; 0 disables the host-overcommit rule. */
     std::uint64_t hostCapacity = 0;
@@ -116,7 +137,7 @@ class PlanChecker
     /**
      * Run every rule over `plan`.
      * @param tensor_bytes Allocation size per tensor (same fn the plan was
-     *        built with).
+     *        built with); also sizes each swap's transfer.
      * @param swap_time PCIe transfer time for a byte count.
      */
     LintReport check(const Plan &plan, const BytesFn &tensor_bytes,
@@ -127,21 +148,17 @@ class PlanChecker
     const AccessTracker &tracker_;
     PlanCheckerOptions opts_;
 
-    struct ItemView; // per-item resolved trace positions
+    struct Placement; // one item placed on the measured timeline
+    using PlacementMap = std::unordered_map<TensorId, const Placement *>;
 
-    void checkStructure(const Plan &plan, std::vector<ItemView> &views,
+    bool place(const PlannedEviction &item, const BytesFn &tensor_bytes,
+               const SwapTimeFn &swap_time, Placement &p,
+               LintReport &report) const;
+    void checkPrefetch(const Placement &p, LintReport &report) const;
+    void checkRecompute(const Placement &p, const PlacementMap &placed,
                         LintReport &report) const;
-    void checkPrefetch(const Plan &plan, const std::vector<ItemView> &views,
-                       const SwapTimeFn &swap_time,
-                       LintReport &report) const;
-    void checkRecompute(const Plan &plan,
-                        const std::vector<ItemView> &views,
-                        LintReport &report) const;
-    void checkMemoryWindow(const Plan &plan,
-                           const std::vector<ItemView> &views,
-                           const BytesFn &tensor_bytes,
-                           const SwapTimeFn &swap_time,
-                           LintReport &report) const;
+    void checkMemory(const Plan &plan, const PlacementMap &placed,
+                     const BytesFn &tensor_bytes, LintReport &report) const;
 };
 
 /** Render the report as an aligned diagnostics table (stats/report). */

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for capuverify: the happens-before engine (ordering-edge
- * enumeration, vector clocks, race scan, directional obligations), the
- * tensor-lifetime dataflow analysis, and the zoo-wide guarantee that
- * every clean plan the policies produce verifies race-free — statically
- * from the plan and dynamically from a capuscope trace.
+ * enumeration, vector clocks, race scan, directional obligations) and the
+ * zoo-wide guarantee that every clean plan the policies produce verifies
+ * race-free — statically from the plan and dynamically from a capuscope
+ * trace. The plan rules themselves are tested in plan_checker_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "analysis/happens_before.hh"
-#include "analysis/lifetime_analysis.hh"
 #include "analysis/lint_hooks.hh"
 #include "core/capuchin_policy.hh"
 #include "exec/ordering.hh"
@@ -315,162 +314,6 @@ TEST(Timestamps, RecomputeOverlappingPredecessorIsFlagged)
     EXPECT_EQ(checkHappensBefore(clean).errorCount(), 0u);
 }
 
-// --- lifetime dataflow analysis ---
-
-namespace
-{
-
-struct LifetimeFixture
-{
-    Graph graph{"lifetime-test"};
-    AccessTracker tracker;
-    TensorId a = kInvalidTensor;
-    TensorId b = kInvalidTensor;
-
-    LifetimeFixture()
-    {
-        a = graph.addTensor("a", 1_MiB, TensorKind::FeatureMap);
-        b = graph.addTensor("b", 1_MiB, TensorKind::FeatureMap);
-        record(a, 1, 10, true);
-        record(a, 2, 20, false);
-        record(a, 3, 30, false);
-        record(a, 4, 40, false);
-        record(b, 1, 15, true);
-        record(b, 2, 30, false);
-    }
-
-    void record(TensorId t, int idx, Tick time, bool out)
-    {
-        AccessRecord r;
-        r.tensor = t;
-        r.accessIndex = idx;
-        r.time = time;
-        r.isOutput = out;
-        tracker.record(r);
-    }
-
-    LifetimeResult analyze(const Plan &plan)
-    {
-        return analyzeLifetimes(
-            plan, graph, tracker,
-            [this](TensorId id) { return graph.tensor(id).bytes; },
-            [](std::uint64_t) { return Tick(2); }, LifetimeOptions{});
-    }
-};
-
-PlannedEviction
-swapItem(TensorId t, int evictAfter, int back)
-{
-    PlannedEviction item;
-    item.tensor = t;
-    item.mode = RegenChoice::Swap;
-    item.evictAfterAccess = evictAfter;
-    item.backAccess = back;
-    return item;
-}
-
-} // namespace
-
-TEST(Lifetime, AccessInsideEvictedIntervalIsUseAfterFree)
-{
-    LifetimeFixture f;
-    Plan plan;
-    plan.items.push_back(swapItem(f.a, 1, 4)); // accesses 2 and 3 fall in
-    LifetimeResult r = f.analyze(plan);
-    EXPECT_TRUE(hasRule(r.report, "lifetime-use-after-free"))
-        << r.report.summary();
-    EXPECT_EQ(r.report.errorCount(), 2u);
-}
-
-TEST(Lifetime, EmptyOrInvertedIntervalFlagged)
-{
-    LifetimeFixture f;
-    Plan plan;
-    plan.items.push_back(swapItem(f.a, 3, 3));
-    EXPECT_TRUE(hasRule(f.analyze(plan).report, "lifetime-empty-interval"));
-}
-
-TEST(Lifetime, MissingAccessFlagged)
-{
-    LifetimeFixture f;
-    Plan plan;
-    plan.items.push_back(swapItem(f.a, 3, 9));
-    EXPECT_TRUE(hasRule(f.analyze(plan).report, "lifetime-missing-access"));
-}
-
-TEST(Lifetime, IntervalSetsAndPeakBound)
-{
-    LifetimeFixture f;
-    // No plan: both tensors fully resident; the static bound is the
-    // overlap of a (10..40) and b (15..30).
-    EXPECT_EQ(f.analyze(Plan{}).peakBound, 2_MiB);
-
-    // Evicting a across (1, 4) removes the overlap: a is out between
-    // freedAt (10+2) and backAllocAt (40-2), covering b entirely.
-    Plan plan;
-    plan.items.push_back(swapItem(f.a, 1, 4));
-    LifetimeResult r = f.analyze(plan);
-    // a's hole accesses make the plan invalid, but the interval math is
-    // unaffected; ignore the diagnostics here.
-    EXPECT_EQ(r.peakBound, 1_MiB);
-    ASSERT_EQ(r.lifetimes.size(), 1u);
-    const TensorLifetime &lt = r.lifetimes[0];
-    ASSERT_EQ(lt.device.size(), 2u);
-    ASSERT_EQ(lt.evicted.size(), 1u);
-    EXPECT_EQ(lt.evicted[0].lo, Tick(12));
-    EXPECT_EQ(lt.evicted[0].hi, Tick(38));
-    ASSERT_EQ(lt.host.size(), 1u);
-    EXPECT_EQ(lt.host[0].lo, Tick(10));
-}
-
-TEST(Lifetime, LostRecomputeSourceFlagged)
-{
-    Graph g("lineage");
-    TensorId s = g.addTensor("s", 1_MiB, TensorKind::FeatureMap);
-    TensorId r = g.addTensor("r", 1_MiB, TensorKind::FeatureMap);
-    Operation src;
-    src.name = "source";
-    src.category = OpCategory::Source;
-    src.recomputable = false;
-    src.outputs = {s};
-    g.addOp(src);
-    Operation op;
-    op.name = "op";
-    op.inputs = {s};
-    op.outputs = {r};
-    g.addOp(op);
-
-    AccessTracker tracker;
-    auto record = [&](TensorId t, int idx, Tick time, bool out) {
-        AccessRecord a;
-        a.tensor = t;
-        a.accessIndex = idx;
-        a.time = time;
-        a.isOutput = out;
-        tracker.record(a);
-    };
-    record(s, 1, 1, true);
-    record(s, 2, 2, false);
-    record(r, 1, 3, true);
-    record(r, 2, 50, false);
-
-    Plan plan;
-    PlannedEviction item;
-    item.tensor = r;
-    item.mode = RegenChoice::Recompute;
-    item.evictAfterAccess = 1;
-    item.backAccess = 2;
-    plan.items.push_back(item);
-
-    LifetimeResult res = analyzeLifetimes(
-        plan, g, tracker, [&](TensorId id) { return g.tensor(id).bytes; },
-        [](std::uint64_t) { return Tick(2); }, LifetimeOptions{});
-    // s is dead at replay time (last access 2 < 50), has no host copy,
-    // and its producer cannot be replayed.
-    EXPECT_TRUE(hasRule(res.report, "lifetime-source-window"))
-        << res.report.summary();
-}
-
 // --- zoo sweep: clean plans verify race-free ---
 
 namespace
@@ -515,8 +358,8 @@ sweepBatch(ModelKind kind)
 std::unique_ptr<MemoryPolicy>
 makeLintedPolicy(Pol p)
 {
-    // panicOnError stays at its default (true): an hb-* or lifetime-*
-    // error on any zoo plan fails the sweep by throwing out of run().
+    // panicOnError stays at its default (true): a checker or hb-* error
+    // on any zoo plan fails the sweep by throwing out of run().
     switch (p) {
       case Pol::Capuchin: {
         CapuchinOptions o;
@@ -552,7 +395,7 @@ TEST_P(CapuverifyZooTest, CleanPlansVerifyRaceFree)
         GTEST_SKIP() << "vDNN is CNN-only";
     Session s(buildModel(kind, sweepBatch(kind)), ExecConfig{},
               makeLintedPolicy(pol));
-    auto r = s.run(2); // plan lint (checker + hb + lifetime) runs inside
+    auto r = s.run(2); // plan lint (checker + hb) runs inside
     EXPECT_FALSE(r.oom) << r.oomMessage;
 }
 

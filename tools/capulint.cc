@@ -21,7 +21,6 @@
 #include <string>
 
 #include "analysis/happens_before.hh"
-#include "analysis/lifetime_analysis.hh"
 #include "analysis/plan_checker.hh"
 #include "core/policy_maker.hh"
 #include "core/trace_io.hh"
@@ -45,8 +44,7 @@ struct Options
     std::size_t maxChain = 256;
     bool noSwap = false;
     bool noRecompute = false;
-    bool hb = false;       ///< happens-before race scan
-    bool lifetime = false; ///< tensor-lifetime dataflow analysis
+    bool hb = false; ///< happens-before race scan
     bool csv = false;
     bool verbose = false;
 };
@@ -91,8 +89,6 @@ usage()
         "  --max-chain <n>      recompute chain budget (default 256)\n"
         "  --hb                 also run the happens-before race scan\n"
         "                       (capuverify, rules hb-*)\n"
-        "  --lifetime           also run the tensor-lifetime dataflow\n"
-        "                       analysis (capuverify, rules lifetime-*)\n"
         "  --csv                machine-readable findings\n"
         "  --quiet              suppress informational log output\n"
         "  --verbose            print the plan summary too\n"
@@ -133,8 +129,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.maxChain = static_cast<std::size_t>(std::atoll(next()));
         else if (a == "--hb")
             opt.hb = true;
-        else if (a == "--lifetime")
-            opt.lifetime = true;
         else if (a == "--csv")
             opt.csv = true;
         else if (a == "--quiet")
@@ -228,31 +222,17 @@ main(int argc, char **argv)
         copts.maxRecomputeChain = opt.maxChain;
         PlanChecker checker(graph, tracker, copts);
         LintReport report = checker.check(plan, bytes_of, swap_time);
+        if (opt.verbose)
+            std::cout << "static peak bound " << formatBytes(report.peakBound)
+                      << " at tick " << report.peakAt << "\n";
 
         if (opt.hb) {
             HbAnalysis hb = buildPlanEventGraph(plan, graph, tracker,
                                                 bytes_of, swap_time);
-            LintReport races = checkHappensBefore(hb, &graph);
             if (opt.verbose)
                 std::cout << "happens-before: " << hb.events.size()
                           << " events, " << hb.edges.size() << " edges\n";
-            for (auto &d : races.diags)
-                report.diags.push_back(std::move(d));
-        }
-        if (opt.lifetime) {
-            LifetimeOptions lopts;
-            lopts.gpuCapacity = copts.gpuCapacity;
-            lopts.capacitySlack = copts.capacitySlack;
-            lopts.maxRecomputeChain = copts.maxRecomputeChain;
-            LifetimeResult lt = analyzeLifetimes(plan, graph, tracker,
-                                                 bytes_of, swap_time, lopts);
-            if (opt.verbose)
-                std::cout << "lifetime: " << lt.lifetimes.size()
-                          << " planned tensors, static peak bound "
-                          << formatBytes(lt.peakBound) << " at tick "
-                          << lt.peakAt << "\n";
-            for (auto &d : lt.report.diags)
-                report.diags.push_back(std::move(d));
+            report.append(checkHappensBefore(hb, &graph));
         }
 
         if (opt.csv) {

@@ -3,10 +3,11 @@
  * capumutate — seeded mutation corpus for the capuverify analyses.
  *
  * Builds a clean plan from a saved access trace (same flow as capulint),
- * verifies the happens-before and lifetime analyses report zero errors on
- * it (the false-positive gate), then injects ~10 classes of plan/schedule
- * corruptions and checks the analyses catch each one with the expected
- * rule (the detection gate). Corruption classes:
+ * verifies the full verifier — every PlanChecker rule plus the
+ * happens-before scan — reports zero errors on it (the false-positive
+ * gate), then injects 13 classes of plan/schedule corruptions and checks
+ * the analyses catch each one with the expected rule (the detection
+ * gate). Corruption classes:
  *
  *   event surgery      trigger-after-back, swapin-during-swapout — reorder
  *                      prefetch triples in the event list, exactly the
@@ -16,7 +17,10 @@
  *                      disabled (OrderingRules), modelling a runtime that
  *                      forgot to enforce it
  *   plan mutations     use-after-evict-hole, empty-interval — corrupt
- *                      PlannedEviction intervals
+ *                      PlannedEviction intervals; duplicated-item,
+ *                      dangling-anchor, dangling-trigger — a repeated
+ *                      item, or an anchor/in-trigger naming an access
+ *                      the trace never recorded
  *   graph surgery      cyclic-lineage, lost-source — corrupt the lineage
  *                      the recompute replay depends on
  *   timestamp skew     clock-skew — a synthetic capuscope timeline whose
@@ -40,7 +44,7 @@
 #include <vector>
 
 #include "analysis/happens_before.hh"
-#include "analysis/lifetime_analysis.hh"
+#include "analysis/plan_checker.hh"
 #include "core/policy_maker.hh"
 #include "core/trace_io.hh"
 #include "exec/ordering.hh"
@@ -179,6 +183,9 @@ defaultManifest()
         {"cyclic-lineage", 5, "lifetime-lineage-cycle"},
         {"lost-source", 5, "lifetime-source-window"},
         {"clock-skew", 5, "hb-timestamp-violation"},
+        {"duplicated-item", 5, "duplicate-item"},
+        {"dangling-anchor", 5, "missing-access"},
+        {"dangling-trigger", 5, "prefetch-missing-trigger"},
     };
 }
 
@@ -292,9 +299,17 @@ struct Corpus
     const AccessTracker *tracker = nullptr;
     PlanChecker::BytesFn bytesOf;
     PlanChecker::SwapTimeFn swapTime;
-    LifetimeOptions lopts;
+    PlanCheckerOptions checkerOpts;
     HbAnalysis base; ///< clean static event graph, default rules
 };
+
+/** Every PlanChecker rule over `plan`, against a possibly mutated graph. */
+LintReport
+checkPlan(const Corpus &c, const Plan &plan, const Graph &graph)
+{
+    return PlanChecker(graph, *c.tracker, c.checkerOpts)
+        .check(plan, c.bytesOf, c.swapTime);
+}
 
 LintReport
 scanEvents(std::vector<hb::HbEvent> events, const Corpus &c)
@@ -460,9 +475,7 @@ mutateEvictHole(const Corpus &c, Rng &rng, const std::string &rule)
             c.tracker->accessesOf(item.tensor).back().accessIndex;
     else
         --item.evictAfterAccess;
-    LintReport report = analyzeLifetimes(mutated, *c.graph, *c.tracker,
-                                         c.bytesOf, c.swapTime, c.lopts)
-                            .report;
+    LintReport report = checkPlan(c, mutated, *c.graph);
     res.caught = hasRule(report, rule);
     res.note = firedRules(report);
     return res;
@@ -480,9 +493,84 @@ mutateEmptyInterval(const Corpus &c, Rng &rng, const std::string &rule)
     PlannedEviction &item =
         mutated.items[rng.uniformInt(0, mutated.items.size() - 1)];
     item.backAccess = item.evictAfterAccess;
-    LintReport report = analyzeLifetimes(mutated, *c.graph, *c.tracker,
-                                         c.bytesOf, c.swapTime, c.lopts)
-                            .report;
+    LintReport report = checkPlan(c, mutated, *c.graph);
+    res.caught = hasRule(report, rule);
+    res.note = firedRules(report);
+    return res;
+}
+
+/** An access index `tensor` never made: 1-4 past its last record. */
+int
+accessPastEnd(const Corpus &c, TensorId tensor, Rng &rng)
+{
+    const auto &recs = c.tracker->accessesOf(tensor);
+    int last = recs.empty() ? 0 : recs.back().accessIndex;
+    return last + 1 + static_cast<int>(rng.uniformInt(0, 3));
+}
+
+// --- class: duplicated-item --------------------------------------------------
+// The planner emits one tensor twice: a double evict frees a dead handle, a
+// double prefetch races.
+CaseResult
+mutateDuplicatedItem(const Corpus &c, Rng &rng, const std::string &rule)
+{
+    CaseResult res;
+    if (c.plan->items.empty())
+        return res;
+    res.injected = true;
+    Plan mutated = *c.plan;
+    mutated.items.push_back(
+        mutated.items[rng.uniformInt(0, mutated.items.size() - 1)]);
+    LintReport report = checkPlan(c, mutated, *c.graph);
+    res.caught = hasRule(report, rule);
+    res.note = firedRules(report);
+    return res;
+}
+
+// --- class: dangling-anchor --------------------------------------------------
+// An item's evicted- or back-access names an access the tensor never made,
+// as a plan replayed against a shorter trace would.
+CaseResult
+mutateDanglingAnchor(const Corpus &c, Rng &rng, const std::string &rule)
+{
+    CaseResult res;
+    if (c.plan->items.empty())
+        return res;
+    res.injected = true;
+    Plan mutated = *c.plan;
+    PlannedEviction &item =
+        mutated.items[rng.uniformInt(0, mutated.items.size() - 1)];
+    int &anchor = rng.uniformInt(0, 1) == 0 ? item.backAccess
+                                            : item.evictAfterAccess;
+    anchor = accessPastEnd(c, item.tensor, rng);
+    LintReport report = checkPlan(c, mutated, *c.graph);
+    res.caught = hasRule(report, rule);
+    res.note = firedRules(report);
+    return res;
+}
+
+// --- class: dangling-trigger -------------------------------------------------
+// A swap's in-trigger names an access the trigger tensor never made: the
+// prefetch never fires.
+CaseResult
+mutateDanglingTrigger(const Corpus &c, Rng &rng, const std::string &rule)
+{
+    CaseResult res;
+    std::vector<std::size_t> sites;
+    for (std::size_t i = 0; i < c.plan->items.size(); ++i) {
+        const PlannedEviction &item = c.plan->items[i];
+        if (item.mode == RegenChoice::Swap &&
+            item.triggerTensor != kInvalidTensor)
+            sites.push_back(i);
+    }
+    if (sites.empty())
+        return res;
+    res.injected = true;
+    Plan mutated = *c.plan;
+    PlannedEviction &item =
+        mutated.items[sites[rng.uniformInt(0, sites.size() - 1)]];
+    item.triggerAccess = accessPastEnd(c, item.triggerTensor, rng);
+    LintReport report = checkPlan(c, mutated, *c.graph);
     res.caught = hasRule(report, rule);
     res.note = firedRules(report);
     return res;
@@ -563,9 +651,7 @@ mutateCyclicLineage(const Corpus &c, Rng &rng, const std::string &rule)
     rootIn.insert(rootIn.begin(), sites[p.u].tensor);
     auto &uIn = mutated.mutableOp(sites[p.u].producer).inputs;
     uIn.insert(uIn.begin(), sites[p.u].tensor);
-    LintReport report = analyzeLifetimes(*c.plan, mutated, *c.tracker,
-                                         c.bytesOf, c.swapTime, c.lopts)
-                            .report;
+    LintReport report = checkPlan(c, *c.plan, mutated);
     res.caught = hasRule(report, rule);
     res.note = firedRules(report);
     return res;
@@ -585,9 +671,7 @@ mutateLostSource(const Corpus &c, Rng &rng, const std::string &rule)
     const RecomputeSite &s = sites[rng.uniformInt(0, sites.size() - 1)];
     Graph mutated = *c.graph;
     mutated.mutableOp(s.producer).recomputable = false;
-    LintReport report = analyzeLifetimes(*c.plan, mutated, *c.tracker,
-                                         c.bytesOf, c.swapTime, c.lopts)
-                            .report;
+    LintReport report = checkPlan(c, *c.plan, mutated);
     res.caught = hasRule(report, rule);
     res.note = firedRules(report);
     return res;
@@ -646,9 +730,7 @@ scanTimeline(const std::vector<obs::TimelineRecord> &recs, const Corpus &c)
 {
     HbAnalysis m = buildTraceEventGraph(recs);
     LintReport report = checkHappensBefore(m, c.graph);
-    LintReport stamps = checkTimestamps(m, c.graph);
-    for (auto &d : stamps.diags)
-        report.diags.push_back(std::move(d));
+    report.append(checkTimestamps(m, c.graph));
     return report;
 }
 
@@ -690,6 +772,12 @@ runCase(const std::string &cls, const Corpus &c, Rng &rng,
         return mutateLostSource(c, rng, rule);
     if (cls == "clock-skew")
         return mutateClockSkew(c, rng, rule);
+    if (cls == "duplicated-item")
+        return mutateDuplicatedItem(c, rng, rule);
+    if (cls == "dangling-anchor")
+        return mutateDanglingAnchor(c, rng, rule);
+    if (cls == "dangling-trigger")
+        return mutateDanglingTrigger(c, rng, rule);
     fatal("unknown corpus class '{}' in manifest", cls);
 }
 
@@ -756,9 +844,11 @@ main(int argc, char **argv)
         corpus.tracker = &tracker;
         corpus.bytesOf = bytes_of;
         corpus.swapTime = swap_time;
-        corpus.lopts.gpuCapacity = capacity;
-        corpus.lopts.capacitySlack = capacity / 20;
-        corpus.lopts.maxRecomputeChain = opt.maxChain;
+        // The same rule options capulint applies by default.
+        corpus.checkerOpts.gpuCapacity = capacity;
+        corpus.checkerOpts.hostCapacity = 256ull << 30;
+        corpus.checkerOpts.capacitySlack = capacity / 20;
+        corpus.checkerOpts.maxRecomputeChain = opt.maxChain;
         corpus.base = buildPlanEventGraph(plan, graph, tracker, bytes_of,
                                           swap_time);
 
@@ -771,21 +861,16 @@ main(int argc, char **argv)
                   << " recompute), " << corpus.base.events.size()
                   << " events\n";
 
-        // --- False-positive gate: the clean plan and the clean synthetic
-        // timeline must produce zero error-level findings.
+        // --- False-positive gate: the clean plan under every checker
+        // rule and the race scan, and the clean synthetic timeline, must
+        // produce zero error-level findings.
         std::size_t falsePositives = 0;
         {
-            LintReport clean = checkHappensBefore(corpus.base, &graph);
-            LintReport lt = analyzeLifetimes(plan, graph, tracker, bytes_of,
-                                             swap_time, corpus.lopts)
-                                .report;
-            for (auto &d : lt.diags)
-                clean.diags.push_back(std::move(d));
+            LintReport clean = checkPlan(corpus, plan, graph);
+            clean.append(checkHappensBefore(corpus.base, &graph));
             Rng fixtureRng(hashCombine(opt.seed, hashString("clean")));
-            LintReport synth =
-                scanTimeline(syntheticTimeline(fixtureRng, false), corpus);
-            for (auto &d : synth.diags)
-                clean.diags.push_back(std::move(d));
+            clean.append(
+                scanTimeline(syntheticTimeline(fixtureRng, false), corpus));
             falsePositives = clean.errorCount();
             std::cout << "clean baseline: " << clean.errorCount()
                       << " errors, " << clean.warningCount()
