@@ -4,10 +4,9 @@
  *
  * Measures the hot paths this repo optimises, per zoo model:
  *
- *  - plan derivation: PolicyMaker::build with the incremental Algorithm-2
- *    engine vs the reference full-rescan loop, on a tracker filled by a
- *    real measured iteration at an oversubscribed batch. The two plans
- *    are asserted byte-identical before any timing is reported.
+ *  - plan derivation: PolicyMaker::build on a tracker filled by a real
+ *    measured iteration at an oversubscribed batch. (Plan equality with
+ *    the full-rescan oracle is asserted by the IncrementalPlan tests.)
  *  - simulation throughput: executed schedule steps per wall second for
  *    a Capuchin-managed training run.
  *  - allocator latency: ns per BfcAllocator allocate/deallocate over a
@@ -20,8 +19,9 @@
  *    field, including begin/end ticks) before the speedup is reported;
  *    the full run must clear 3x.
  *  - max-batch search: findMaxBatch (memoized, galloping, replay-armed
- *    probes) vs an inline replica of the pre-capureplay bisection,
- *    asserted to agree on the result.
+ *    probes), serial vs speculative at up to 8 jobs, asserted to agree.
+ *    (Agreement with plain bisection is asserted by the MaxBatchSearch
+ *    tests.)
  *
  * Timings are median-of-N (--repeat). A calibration spin — a fixed
  * integer workload timed on the same machine — is recorded next to the
@@ -38,9 +38,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "bench/serve_common.hh"
 #include "core/policy_maker.hh"
 #include "memory/bfc_allocator.hh"
 #include "models/workload.hh"
@@ -132,44 +131,14 @@ calibrationSpinMs()
     return nowMs() - t0;
 }
 
-bool
-itemsEqual(const PlannedEviction &a, const PlannedEviction &b)
-{
-    return a.tensor == b.tensor && a.mode == b.mode && a.bytes == b.bytes &&
-           a.evictAfterAccess == b.evictAfterAccess &&
-           a.backAccess == b.backAccess && a.evictTime == b.evictTime &&
-           a.backTime == b.backTime && a.swapTime == b.swapTime &&
-           a.freeTime == b.freeTime &&
-           a.desiredSwapInStart == b.desiredSwapInStart &&
-           a.triggerTensor == b.triggerTensor &&
-           a.triggerAccess == b.triggerAccess &&
-           a.recomputeTime == b.recomputeTime &&
-           a.estimatedOverhead == b.estimatedOverhead;
-}
-
-bool
-plansEqual(const Plan &a, const Plan &b)
-{
-    if (a.items.size() != b.items.size() ||
-        a.targetBytes != b.targetBytes ||
-        a.plannedBytes != b.plannedBytes || a.swapCount != b.swapCount ||
-        a.recomputeCount != b.recomputeCount)
-        return false;
-    for (std::size_t i = 0; i < a.items.size(); ++i) {
-        if (!itemsEqual(a.items[i], b.items[i]))
-            return false;
-    }
-    return true;
-}
-
 struct ModelResult
 {
     std::string name;
     std::int64_t batch = 0;
-    double planRefMs = 0;
-    double planIncMs = 0;
+    double planMs = 0;
     std::size_t planItems = 0;
-    bool plansEqual = true;
+    /** False when the run OOMed or built no plan. */
+    bool ok = true;
     double simWallMs = 0;
     double simStepsPerSec = 0;
 };
@@ -197,7 +166,7 @@ runModel(const ModelCase &mc, const Options &opt)
     if (r.oom) {
         std::cerr << res.name << "@" << mc.batch
                   << ": unexpected OOM\n" << r.postMortem() << "\n";
-        res.plansEqual = false;
+        res.ok = false;
         return res;
     }
     Executor &ex = session.executor();
@@ -210,44 +179,28 @@ runModel(const ModelCase &mc, const Options &opt)
     if (capu == nullptr || !capu->planBuilt()) {
         std::cerr << res.name << ": no plan was built (batch not "
                      "oversubscribed?)\n";
-        res.plansEqual = false;
+        res.ok = false;
         return res;
     }
 
     // Rebuild the plan standalone, with the exact inputs
-    // CapuchinPolicy::buildPlan uses, under both engines.
+    // CapuchinPolicy::buildPlan uses.
     auto target = static_cast<std::uint64_t>(
         static_cast<double>(capu->measuredEvictedBytes()) *
         copts.savingMargin);
     auto bytes_fn = [&](TensorId id) { return ex.tensorBytes(id); };
     auto swap_fn = [&](std::uint64_t b) { return ex.swapTime(b); };
 
-    Plan ref_plan, inc_plan;
-    std::vector<double> ref_ms, inc_ms;
+    Plan plan;
+    std::vector<double> ms;
     for (int i = 0; i < opt.repeat; ++i) {
-        PolicyMakerOptions pmo;
-        pmo.incremental = false;
-        PolicyMaker ref_maker(session.graph(), capu->tracker(), pmo);
+        PolicyMaker maker(session.graph(), capu->tracker());
         double a = nowMs();
-        ref_plan =
-            ref_maker.build(target, bytes_fn, swap_fn, ex.gpuCapacity());
-        ref_ms.push_back(nowMs() - a);
-
-        pmo.incremental = true;
-        PolicyMaker inc_maker(session.graph(), capu->tracker(), pmo);
-        a = nowMs();
-        inc_plan =
-            inc_maker.build(target, bytes_fn, swap_fn, ex.gpuCapacity());
-        inc_ms.push_back(nowMs() - a);
+        plan = maker.build(target, bytes_fn, swap_fn, ex.gpuCapacity());
+        ms.push_back(nowMs() - a);
     }
-    res.planRefMs = median(ref_ms);
-    res.planIncMs = median(inc_ms);
-    res.planItems = inc_plan.items.size();
-    res.plansEqual = plansEqual(ref_plan, inc_plan);
-    if (!res.plansEqual)
-        std::cerr << res.name << ": INCREMENTAL PLAN DIVERGES FROM "
-                     "REFERENCE\n  ref: " << ref_plan.summary()
-                  << "\n  inc: " << inc_plan.summary() << "\n";
+    res.planMs = median(ms);
+    res.planItems = plan.items.size();
     return res;
 }
 
@@ -415,33 +368,7 @@ struct ReplayResult
 bool
 resultsIdentical(const SessionResult &a, const SessionResult &b)
 {
-    if (a.oom || b.oom || a.iterations.size() != b.iterations.size())
-        return false;
-    for (std::size_t i = 0; i < a.iterations.size(); ++i) {
-        const IterationStats &x = a.iterations[i];
-        const IterationStats &y = b.iterations[i];
-        if (x.iteration != y.iteration || x.begin != y.begin ||
-            x.end != y.end || x.kernelBusy != y.kernelBusy ||
-            x.recomputeBusy != y.recomputeBusy ||
-            x.inputStall != y.inputStall ||
-            x.allocStall != y.allocStall ||
-            x.swapOutBytes != y.swapOutBytes ||
-            x.swapInBytes != y.swapInBytes ||
-            x.swapOutCount != y.swapOutCount ||
-            x.swapInCount != y.swapInCount ||
-            x.recomputedTensors != y.recomputedTensors ||
-            x.recomputeOps != y.recomputeOps ||
-            x.droppedTensors != y.droppedTensors ||
-            x.droppedBytes != y.droppedBytes ||
-            x.inplaceForwards != y.inplaceForwards ||
-            x.fallbackKernels != y.fallbackKernels ||
-            x.oomEvictions != y.oomEvictions ||
-            x.prefetchBusy != y.prefetchBusy ||
-            x.prefetchStall != y.prefetchStall ||
-            x.peakGpuBytes != y.peakGpuBytes)
-            return false;
-    }
-    return true;
+    return !a.oom && !b.oom && a.iterations == b.iterations;
 }
 
 /**
@@ -544,13 +471,9 @@ const ModelKind kQuickMaxBatchCases[] = {ModelKind::Vgg16};
 struct MaxBatchResult
 {
     std::string name;
-    std::int64_t newBatch = 0;
-    std::int64_t legacyBatch = 0;
-    double newMs = 0;
-    double legacyMs = 0;
-    int newProbes = 0;
-    int legacyProbes = 0;
-    bool equal = true;
+    std::int64_t batch = 0;
+    double ms = 0;
+    int probes = 0;
     /** Parallel (speculative) search at `parJobs` workers vs serial. */
     unsigned parJobs = 1;
     std::int64_t parBatch = 0;
@@ -564,48 +487,10 @@ struct MaxBatchResult
 };
 
 /**
- * Pre-memo findMaxBatch, replicated inline as the comparison baseline:
- * no memo, no gallop — feasibility is re-probed on every robust() call
- * and the search opens with full-range bisection from hi.
- */
-std::int64_t
-legacyFindMaxBatch(const GraphBuilderFn &builder,
-                   const PolicyFactoryFn &make_policy,
-                   const ExecConfig &config, int iterations,
-                   std::int64_t lo, std::int64_t hi, int &probes)
-{
-    auto feasible = [&](std::int64_t batch) {
-        ++probes;
-        Session session(builder(batch), config, make_policy());
-        return !session.run(iterations).oom;
-    };
-    auto robust = [&](std::int64_t batch) {
-        std::int64_t step = std::max<std::int64_t>(1, batch / 32);
-        return feasible(batch) &&
-               (batch - step < lo || feasible(batch - step));
-    };
-    if (!feasible(lo))
-        return 0;
-    if (robust(hi))
-        return hi;
-    std::int64_t good = lo;
-    std::int64_t bad = hi;
-    while (good + 1 < bad) {
-        std::int64_t mid = good + (bad - good) / 2;
-        if (robust(mid))
-            good = mid;
-        else
-            bad = mid;
-    }
-    return good;
-}
-
-/**
- * The zoo search the tab02/tab03 benches run — Capuchin over [1, 4096] —
+ * The zoo search the tab02/tab03 benches run, over [1, 4096] with vDNN,
  * at a 60-iteration feasibility horizon (long enough that steady-state
  * fragmentation drift would surface, and that replay-armed probes can
- * synthesize the stable tail). The legacy replica runs the same horizon
- * the pre-capureplay way: every iteration executed, every probe re-run.
+ * synthesize the stable tail).
  */
 MaxBatchResult
 runMaxBatch(ModelKind kind, unsigned par_jobs)
@@ -617,26 +502,15 @@ runMaxBatch(ModelKind kind, unsigned par_jobs)
     auto builder = [kind](std::int64_t b) { return buildModel(kind, b); };
     auto policy = [] { return makeVdnnPolicy(); };
 
-    std::atomic<int> new_probes{0};
+    std::atomic<int> probes{0};
     auto counting_builder = [&](std::int64_t b) {
-        ++new_probes;
+        ++probes;
         return buildModel(kind, b);
     };
     double t0 = nowMs();
-    res.newBatch =
-        findMaxBatch(counting_builder, policy, cfg, horizon, 1, 4096);
-    res.newMs = nowMs() - t0;
-    res.newProbes = new_probes;
-
-    t0 = nowMs();
-    res.legacyBatch = legacyFindMaxBatch(builder, policy, cfg, horizon, 1,
-                                         4096, res.legacyProbes);
-    res.legacyMs = nowMs() - t0;
-    res.equal = res.newBatch == res.legacyBatch;
-    if (!res.equal)
-        std::cerr << res.name << ": MAX-BATCH SEARCH DIVERGES (new "
-                  << res.newBatch << " vs legacy " << res.legacyBatch
-                  << ")\n";
+    res.batch = findMaxBatch(counting_builder, policy, cfg, horizon, 1, 4096);
+    res.ms = nowMs() - t0;
+    res.probes = probes;
 
     // Parallel speculative search: same answer required at any job
     // count; the speedup floor only applies with the hardware to back it.
@@ -648,14 +522,14 @@ runMaxBatch(ModelKind kind, unsigned par_jobs)
     res.parBatch = findMaxBatch(builder, policy, cfg, horizon, 1, 4096,
                                 par_jobs, &pstats);
     res.parMs = nowMs() - t0;
-    res.parSpeedup = res.parMs > 0 ? res.newMs / res.parMs : 1.0;
+    res.parSpeedup = res.parMs > 0 ? res.ms / res.parMs : 1.0;
     res.speculated = pstats.speculated;
     res.servedFromWarm = pstats.servedFromWarm;
-    res.parEqual = res.parBatch == res.newBatch;
+    res.parEqual = res.parBatch == res.batch;
     if (!res.parEqual)
         std::cerr << res.name << ": PARALLEL MAX-BATCH SEARCH DIVERGES ("
                   << res.parBatch << " at " << par_jobs << " jobs vs "
-                  << res.newBatch << " serial)\n";
+                  << res.batch << " serial)\n";
     return res;
 }
 
@@ -782,79 +656,6 @@ runDrift(const DriftCase &dc)
     return res;
 }
 
-/**
- * Planning-service bench (capuserve): a cold phase (one measured planning
- * session per tenant) vs a warm phase (cache hits answered by forking the
- * template session). Warm responses must digest-match the cold plan for
- * their key — plan_io digests hash every item field, so equality means
- * bit-identical plans — and warm requests/sec must clear 10x cold. The
- * ratio is self-relative host time (both phases in one process), so like
- * the drift floors it gates in-process and stays out of the
- * calibration-normalized "gate" blob.
- */
-struct ServeBenchResult
-{
-    std::size_t tenants = 0;
-    std::size_t coldRequests = 0;
-    std::size_t warmRequests = 0;
-    double coldReqPerSec = 0, coldP50Ms = 0, coldP99Ms = 0;
-    double warmReqPerSec = 0, warmP50Ms = 0, warmP99Ms = 0;
-    double speedup = 0;
-    std::uint64_t hits = 0, misses = 0;
-    bool identical = false;
-    bool ok = false;
-};
-
-ServeBenchResult
-runServeBench(bool quick)
-{
-    ServeBenchResult res;
-    const ServeTenant *tenants = quick ? kQuickServeTenants : kServeTenants;
-    res.tenants =
-        quick ? std::size(kQuickServeTenants) : std::size(kServeTenants);
-    std::size_t warm_count = quick ? 24 : 64;
-
-    serve::PlanServiceConfig cfg;
-    serve::PlanService service(cfg, nullptr);
-    serve::RequestQueue queue(service);
-    ServeDigestLedger ledger;
-
-    std::vector<serve::PlanRequest> cold_reqs =
-        serveMix(tenants, res.tenants, res.tenants, /*warm_iters=*/0);
-    ServePhaseResult cold = runServePhase(queue, cold_reqs);
-    ledger.observe(cold_reqs, cold.responses);
-
-    std::vector<serve::PlanRequest> warm_reqs =
-        serveMix(tenants, res.tenants, warm_count, /*warm_iters=*/0);
-    ServePhaseResult warm = runServePhase(queue, warm_reqs);
-    ledger.observe(warm_reqs, warm.responses);
-
-    res.coldRequests = cold.requests;
-    res.warmRequests = warm.requests;
-    res.coldReqPerSec = cold.reqPerSec;
-    res.coldP50Ms = cold.p50Ms;
-    res.coldP99Ms = cold.p99Ms;
-    res.warmReqPerSec = warm.reqPerSec;
-    res.warmP50Ms = warm.p50Ms;
-    res.warmP99Ms = warm.p99Ms;
-    res.speedup =
-        cold.reqPerSec > 0 ? warm.reqPerSec / cold.reqPerSec : 0.0;
-    res.hits = service.cacheStats().hits;
-    res.misses = service.cacheStats().misses;
-    res.identical = ledger.identical() && !cold.errors && !warm.errors;
-    res.ok = res.identical && res.speedup >= 10.0;
-    if (!ledger.identical())
-        std::cerr << "SERVE DIGEST MISMATCH: warm response disagrees with "
-                     "its cold plan\n";
-    if (cold.errors || warm.errors)
-        std::cerr << "SERVE ERRORS: " << cold.errors + warm.errors
-                  << " requests failed\n";
-    if (res.speedup < 10.0)
-        std::cerr << "SERVE WARM SPEEDUP " << cellDouble(res.speedup, 2)
-                  << "x BELOW 10x COLD\n";
-    return res;
-}
-
 std::string
 jsonNum(double v)
 {
@@ -950,17 +751,12 @@ main(int argc, char **argv)
 
     bool ok = true;
     std::vector<ModelResult> models;
-    Table t({"model", "batch", "plan ref (ms)", "plan incr (ms)",
-             "speedup", "items", "equal", "sim steps/s"});
+    Table t({"model", "batch", "plan (ms)", "items", "sim steps/s"});
     for (std::size_t i = 0; i < n_cases; ++i) {
         ModelResult res = runModel(cases[i], opt);
-        ok = ok && res.plansEqual;
-        t.addRow({res.name, cellInt(res.batch),
-                  cellDouble(res.planRefMs, 2),
-                  cellDouble(res.planIncMs, 2),
-                  ratioCell(res.planRefMs, res.planIncMs),
+        ok = ok && res.ok;
+        t.addRow({res.name, cellInt(res.batch), cellDouble(res.planMs, 2),
                   cellInt(static_cast<std::int64_t>(res.planItems)),
-                  res.plansEqual ? "yes" : "NO",
                   cellDouble(res.simStepsPerSec, 0)});
         models.push_back(std::move(res));
     }
@@ -1051,23 +847,13 @@ main(int argc, char **argv)
     std::size_t n_bcases = opt.quick ? std::size(kQuickMaxBatchCases)
                                      : std::size(kMaxBatchCases);
     std::vector<MaxBatchResult> maxbatches;
-    Table bt({"model", "max batch", "new (ms)", "probes", "legacy (ms)",
-              "probes", "speedup", "par (ms)", "par x", "equal"});
-    // Catches the search regressing to executed-everything probes;
-    // measured headroom is ~4x, so the floor trips well before noise.
-    const double min_search_speedup = opt.quick ? 1.5 : 2.0;
+    Table bt({"model", "max batch", "serial (ms)", "probes", "par (ms)",
+              "par x", "equal"});
     const unsigned par_jobs =
         opt.threads ? std::min(8u, opt.threads) : 8u;
     for (std::size_t i = 0; i < n_bcases; ++i) {
         MaxBatchResult res = runMaxBatch(bcases[i], par_jobs);
-        ok = ok && res.equal && res.parEqual;
-        double sp = res.newMs > 0 ? res.legacyMs / res.newMs : 0;
-        if (sp < min_search_speedup) {
-            std::cerr << res.name << ": MAX-BATCH SEARCH SPEEDUP "
-                      << cellDouble(sp, 2) << "x BELOW "
-                      << cellDouble(min_search_speedup, 1) << "x\n";
-            ok = false;
-        }
+        ok = ok && res.parEqual;
         // Parallel-search floor: >=3x at 8 jobs, hardware permitting.
         if (res.parGated && res.parJobs >= 8 && res.parSpeedup < 3.0) {
             std::cerr << res.name << ": PARALLEL MAX-BATCH SPEEDUP "
@@ -1075,18 +861,14 @@ main(int argc, char **argv)
                       << res.parJobs << " jobs\n";
             ok = false;
         }
-        bt.addRow({res.name, cellInt(res.newBatch),
-                   cellDouble(res.newMs, 0), cellInt(res.newProbes),
-                   cellDouble(res.legacyMs, 0), cellInt(res.legacyProbes),
-                   ratioCell(res.legacyMs, res.newMs),
-                   cellDouble(res.parMs, 0),
-                   ratioCell(res.newMs, res.parMs),
-                   res.equal && res.parEqual ? "yes" : "NO"});
+        bt.addRow({res.name, cellInt(res.batch), cellDouble(res.ms, 0),
+                   cellInt(res.probes), cellDouble(res.parMs, 0),
+                   ratioCell(res.ms, res.parMs),
+                   res.parEqual ? "yes" : "NO"});
         maxbatches.push_back(std::move(res));
     }
-    std::cout << "\nmax-batch search (findMaxBatch vs pre-capureplay "
-                 "bisection, [1, 4096], 60-iteration probes; par = "
-                 "speculative search at "
+    std::cout << "\nmax-batch search (findMaxBatch, [1, 4096], "
+                 "60-iteration probes; par = speculative search at "
               << par_jobs << " jobs)\n";
     bt.print(std::cout);
 
@@ -1114,21 +896,6 @@ main(int argc, char **argv)
                  "oracle vs replan-from-scratch, simulated ms)\n";
     dt.print(std::cout);
 
-    // ---- planning service (capuserve) -----------------------------------
-    ServeBenchResult sv = runServeBench(opt.quick);
-    ok = ok && sv.ok; // hard floor; runServeBench already printed why
-    std::cout << "\nplanning service (cold measured sessions vs warm "
-                 "template forks, "
-              << sv.tenants << " tenants)\n"
-              << "  cold: " << cellDouble(sv.coldReqPerSec, 0)
-              << " req/s (p50 " << cellDouble(sv.coldP50Ms, 2) << " ms, p99 "
-              << cellDouble(sv.coldP99Ms, 2) << " ms)  warm: "
-              << cellDouble(sv.warmReqPerSec, 0) << " req/s (p50 "
-              << cellDouble(sv.warmP50Ms, 3) << " ms, p99 "
-              << cellDouble(sv.warmP99Ms, 3) << " ms)  -> "
-              << cellDouble(sv.speedup, 1) << "x, digests "
-              << (sv.identical ? "identical" : "MISMATCHED") << "\n";
-
     // ---- BENCH_perf.json -------------------------------------------------
     std::ostringstream js;
     js << "{\n"
@@ -1143,12 +910,8 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < models.size(); ++i) {
         const ModelResult &m = models[i];
         js << "    {\"model\": \"" << m.name << "\", \"batch\": "
-           << m.batch << ", \"plan_ref_ms\": " << jsonNum(m.planRefMs)
-           << ", \"plan_inc_ms\": " << jsonNum(m.planIncMs)
-           << ", \"plan_speedup\": "
-           << jsonNum(m.planIncMs > 0 ? m.planRefMs / m.planIncMs : 0)
+           << m.batch << ", \"plan_inc_ms\": " << jsonNum(m.planMs)
            << ", \"plan_items\": " << m.planItems
-           << ", \"plans_equal\": " << (m.plansEqual ? "true" : "false")
            << ", \"sim_wall_ms\": " << jsonNum(m.simWallMs)
            << ", \"sim_steps_per_sec\": " << jsonNum(m.simStepsPerSec)
            << "}" << (i + 1 < models.size() ? "," : "") << "\n";
@@ -1188,13 +951,8 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < maxbatches.size(); ++i) {
         const MaxBatchResult &b = maxbatches[i];
         js << "    {\"model\": \"" << b.name << "\", \"max_batch\": "
-           << b.newBatch << ", \"new_ms\": " << jsonNum(b.newMs)
-           << ", \"new_probes\": " << b.newProbes
-           << ", \"legacy_ms\": " << jsonNum(b.legacyMs)
-           << ", \"legacy_probes\": " << b.legacyProbes
-           << ", \"search_speedup\": "
-           << jsonNum(b.newMs > 0 ? b.legacyMs / b.newMs : 0)
-           << ", \"equal\": " << (b.equal ? "true" : "false")
+           << b.batch << ", \"new_ms\": " << jsonNum(b.ms)
+           << ", \"new_probes\": " << b.probes
            << ",\n     \"par_jobs\": " << b.parJobs
            << ", \"par_ms\": " << jsonNum(b.parMs)
            << ", \"par_speedup\": " << jsonNum(b.parSpeedup)
@@ -1232,21 +990,6 @@ main(int argc, char **argv)
            << (i + 1 < drifts.size() ? "," : "") << "\n";
     }
     js << "  ],\n";
-    // Additive serve section (capuserve): self-relative host-time floor,
-    // gated in-process above — kept out of the "gate" blob like drift.
-    js << "  \"serve\": {\"tenants\": " << sv.tenants
-       << ", \"cold_requests\": " << sv.coldRequests
-       << ", \"warm_requests\": " << sv.warmRequests
-       << ", \"cold_req_per_sec\": " << jsonNum(sv.coldReqPerSec)
-       << ", \"cold_p50_ms\": " << jsonNum(sv.coldP50Ms)
-       << ", \"cold_p99_ms\": " << jsonNum(sv.coldP99Ms)
-       << ",\n    \"warm_req_per_sec\": " << jsonNum(sv.warmReqPerSec)
-       << ", \"warm_p50_ms\": " << jsonNum(sv.warmP50Ms)
-       << ", \"warm_p99_ms\": " << jsonNum(sv.warmP99Ms)
-       << ", \"warm_speedup\": " << jsonNum(sv.speedup)
-       << ", \"hits\": " << sv.hits << ", \"misses\": " << sv.misses
-       << ", \"identical\": " << (sv.identical ? "true" : "false")
-       << ", \"ok\": " << (sv.ok ? "true" : "false") << "},\n";
     // Flat gate metrics: "time-like, lower is better" keys the baseline
     // comparison scans for by name. Drift numbers are simulated ticks, not
     // host time — they gate in-process (<= 15% of the per-shape oracle)
@@ -1258,14 +1001,14 @@ main(int argc, char **argv)
         first = false;
     };
     for (const ModelResult &m : models) {
-        gate("plan_inc_ms_" + m.name, m.planIncMs);
+        gate("plan_inc_ms_" + m.name, m.planMs);
         gate("sim_wall_ms_" + m.name, m.simWallMs);
     }
     gate("alloc_ns_per_op", alloc.nsPerOp);
     for (const ReplayResult &r : replays)
         gate("replay_on_ms_" + r.name, r.onMs);
     for (const MaxBatchResult &b : maxbatches)
-        gate("max_batch_ms_" + b.name, b.newMs);
+        gate("max_batch_ms_" + b.name, b.ms);
     js << "}\n}\n";
 
     std::ofstream out(opt.out);

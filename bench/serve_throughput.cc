@@ -4,10 +4,10 @@
  *
  * Phase 1 (cold) sends one request per tenant — every one a cache miss
  * that runs a full measured planning session. Phase 2 (warm) repeats the
- * mix — every one a cache hit answered by forking the cached template
- * session, no re-measurement. A third phase runs one guided iteration on
- * each warm fork to show the fork is a *live* session, not just a stored
- * plan. Two hard gates:
+ * mix 64 times over — every one a cache hit answered by forking the
+ * cached template session, no re-measurement. A third phase runs one
+ * guided iteration on each warm fork to show the fork is a *live*
+ * session, not just a stored plan. Two hard gates:
  *
  *  - identity: every warm response's plan digest equals the digest of the
  *    cold measured plan for its key (plan_io digests hash every field of
@@ -17,56 +17,165 @@
  *    self-relative (both phases run on the same machine in the same
  *    process), so no calibration normalization is needed.
  *
- * --verify adds an eviction-churn stress: a service capped at 2 cache
- * entries is driven round-robin over 4 tenants, so every request misses
- * and every insert evicts. Each re-measured plan must digest-match the
- * first plan ever built for its key — determinism under churn — and the
- * cache must stay at its capacity floor with live eviction counts.
+ * An eviction-churn stress follows: a service capped at 2 cache entries
+ * is driven round-robin over the 4 tenants, so every request misses and
+ * every insert evicts. Each re-measured plan must digest-match the first
+ * plan ever built for its key — determinism under churn — and the cache
+ * must stay at its capacity floor with live eviction counts.
+ *
+ * Planning sessions run on the default P100 with 4 admission tokens.
  *
  * Exit status: 0 ok; 1 gate failure; 2 usage error.
  */
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "bench/serve_common.hh"
 #include "obs/metrics.hh"
+#include "serve/request_queue.hh"
+#include "serve/service.hh"
 #include "support/logging.hh"
-#include "support/units.hh"
 
 using namespace capu;
-using namespace capu::bench;
 using namespace capu::serve;
 
 namespace
 {
 
-struct Options
+struct ServeTenant
 {
-    bool quick = false;
-    bool verify = false;
-    std::size_t warmRequests = 0; ///< 0 = default (64 full, 24 quick)
-    int gpus = 4;
-    std::string device = "p100";
-    std::string json;
+    const char *model;
+    std::int64_t batch;
+};
+
+/** The zoo request mix: four tenants across model families, batches kept
+ *  modest so a cold planning session stays in the hundreds of ms. */
+constexpr ServeTenant kTenants[] = {
+    {"resnet50", 192},
+    {"vgg16", 96},
+    {"densenet", 96},
+    {"inceptionv3", 128},
+};
+constexpr std::size_t kTenantCount = std::size(kTenants);
+constexpr std::size_t kWarmRequests = 64;
+constexpr int kChurnRounds = 3;
+
+/** Nearest-rank percentile over a copy of `v` (p in [0, 1]). */
+double
+percentile(std::vector<double> v, double p)
+{
+    if (v.empty())
+        return 0.0;
+    std::sort(v.begin(), v.end());
+    auto idx = static_cast<std::size_t>(
+        p * static_cast<double>(v.size() - 1) + 0.5);
+    return v[std::min(idx, v.size() - 1)];
+}
+
+/**
+ * Round-robin request stream over the tenants: every tenant appears once
+ * per cycle, so `count >= kTenantCount` guarantees full coverage and the
+ * stream is deterministic without a seed.
+ */
+std::vector<PlanRequest>
+requestMix(std::size_t count, int warm_iters)
+{
+    std::vector<PlanRequest> reqs;
+    reqs.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const ServeTenant &t = kTenants[i % kTenantCount];
+        PlanRequest r;
+        r.model = t.model;
+        r.batch = t.batch;
+        r.warmIterations = warm_iters;
+        reqs.push_back(std::move(r));
+    }
+    return reqs;
+}
+
+/** One timed drain of a request batch through the queue. */
+struct PhaseResult
+{
+    std::size_t requests = 0;
+    int errors = 0;
+    double wallMs = 0;
+    double reqPerSec = 0;
+    double p50Ms = 0;
+    double p99Ms = 0;
+    std::vector<PlanResponse> responses;
+};
+
+PhaseResult
+runPhase(RequestQueue &queue, const std::vector<PlanRequest> &reqs)
+{
+    for (const PlanRequest &r : reqs)
+        queue.enqueue(r);
+    auto t0 = std::chrono::steady_clock::now();
+    PhaseResult res;
+    res.responses = queue.drain();
+    auto t1 = std::chrono::steady_clock::now();
+    res.requests = res.responses.size();
+    res.wallMs = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    std::vector<double> lat;
+    lat.reserve(res.responses.size());
+    for (const PlanResponse &r : res.responses) {
+        if (!r.ok)
+            ++res.errors;
+        lat.push_back(r.latencyMs);
+    }
+    res.reqPerSec = res.wallMs > 0
+                        ? static_cast<double>(res.requests) * 1e3 / res.wallMs
+                        : 0.0;
+    res.p50Ms = percentile(lat, 0.50);
+    res.p99Ms = percentile(lat, 0.99);
+    return res;
+}
+
+/**
+ * Record the first digest seen per (model, batch) tag and flag any later
+ * disagreement — the warm/cold bit-identity check. identical() stays true
+ * while all phases agree.
+ */
+class DigestLedger
+{
+  public:
+    void
+    observe(const std::vector<PlanRequest> &reqs,
+            const std::vector<PlanResponse> &resps)
+    {
+        for (std::size_t i = 0; i < resps.size() && i < reqs.size(); ++i) {
+            if (!resps[i].ok)
+                continue;
+            std::string tag =
+                reqs[i].model + "@" + std::to_string(reqs[i].batch);
+            auto it = first_.find(tag);
+            if (it == first_.end())
+                first_.emplace(std::move(tag), resps[i].digest);
+            else if (it->second != resps[i].digest)
+                identical_ = false;
+        }
+    }
+
+    bool identical() const { return identical_; }
+
+  private:
+    std::unordered_map<std::string, std::uint64_t> first_;
+    bool identical_ = true;
 };
 
 void
 usage()
 {
-    std::cout <<
-        "usage: serve_throughput [options]\n"
-        "  --quick           2-tenant mix, fewer warm requests (CI smoke)\n"
-        "  --verify          add the eviction-churn stress phase\n"
-        "  --warm-requests N warm-phase request count (default 64; 24\n"
-        "                    with --quick)\n"
-        "  --gpus N          admission tokens for the request queue\n"
-        "  --device NAME     p100 (default) | v100\n"
-        "  --json FILE       write machine-readable results here\n";
+    std::cout << "usage: serve_throughput [options]\n"
+                 "  --json FILE       write machine-readable results here\n";
 }
 
 double
@@ -82,30 +191,16 @@ jsonNum(double v)
 int
 main(int argc, char **argv)
 {
-    Options opt;
+    std::string json;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        auto next = [&]() -> const char * {
+        if (arg == "--json") {
             if (i + 1 >= argc) {
                 std::cerr << arg << " needs a value\n";
-                std::exit(2);
+                return 2;
             }
-            return argv[++i];
-        };
-        if (arg == "--quick")
-            opt.quick = true;
-        else if (arg == "--verify")
-            opt.verify = true;
-        else if (arg == "--warm-requests")
-            opt.warmRequests =
-                static_cast<std::size_t>(std::atoll(next()));
-        else if (arg == "--gpus")
-            opt.gpus = std::atoi(next());
-        else if (arg == "--device")
-            opt.device = next();
-        else if (arg == "--json")
-            opt.json = next();
-        else if (arg == "--help" || arg == "-h") {
+            json = argv[++i];
+        } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
         } else {
@@ -116,53 +211,40 @@ main(int argc, char **argv)
     }
     setLogEnabled(false);
 
-    const ServeTenant *tenants =
-        opt.quick ? kQuickServeTenants : kServeTenants;
-    std::size_t n_tenants =
-        opt.quick ? std::size(kQuickServeTenants) : std::size(kServeTenants);
-    std::size_t warm_requests =
-        opt.warmRequests ? opt.warmRequests : (opt.quick ? 24u : 64u);
-
     try {
         PlanServiceConfig cfg;
-        if (opt.device == "v100")
-            cfg.exec.device = GpuDeviceSpec::v100();
-        else
-            cfg.exec.device = GpuDeviceSpec::p100();
         obs::MetricsRegistry metrics;
         metrics.setEnabled(true);
         PlanService service(cfg, &metrics);
-        RequestQueueConfig qcfg;
-        qcfg.gpus = opt.gpus;
-        RequestQueue queue(service, qcfg);
+        RequestQueue queue(service);
 
         bool ok = true;
-        ServeDigestLedger ledger;
+        DigestLedger ledger;
 
         // ---- phase 1: cold (every request measures and plans) -----------
         std::vector<PlanRequest> cold_reqs =
-            serveMix(tenants, n_tenants, n_tenants, /*warm_iters=*/0);
-        ServePhaseResult cold = runServePhase(queue, cold_reqs);
+            requestMix(kTenantCount, /*warm_iters=*/0);
+        PhaseResult cold = runPhase(queue, cold_reqs);
         ledger.observe(cold_reqs, cold.responses);
 
         // ---- phase 2: warm (every request forks the cached template) ----
         std::vector<PlanRequest> warm_reqs =
-            serveMix(tenants, n_tenants, warm_requests, /*warm_iters=*/0);
-        ServePhaseResult warm = runServePhase(queue, warm_reqs);
+            requestMix(kWarmRequests, /*warm_iters=*/0);
+        PhaseResult warm = runPhase(queue, warm_reqs);
         ledger.observe(warm_reqs, warm.responses);
 
         // ---- phase 3: warm fork + 1 guided iteration (reported only) ----
         std::vector<PlanRequest> run_reqs =
-            serveMix(tenants, n_tenants, n_tenants, /*warm_iters=*/1);
-        ServePhaseResult forkrun = runServePhase(queue, run_reqs);
+            requestMix(kTenantCount, /*warm_iters=*/1);
+        PhaseResult forkrun = runPhase(queue, run_reqs);
         ledger.observe(run_reqs, forkrun.responses);
 
         const PlanCacheStats &cs = service.cacheStats();
         double speedup =
             cold.reqPerSec > 0 ? warm.reqPerSec / cold.reqPerSec : 0.0;
 
-        std::cout << "capuserve throughput (" << n_tenants
-                  << " tenants, device " << opt.device << ")\n";
+        std::cout << "capuserve throughput (" << kTenantCount
+                  << " tenants, device p100)\n";
         std::cout << "  cold: " << cold.requests << " req, "
                   << cold.reqPerSec << " req/s, p50 " << cold.p50Ms
                   << " ms, p99 " << cold.p99Ms << " ms\n";
@@ -186,12 +268,12 @@ main(int argc, char **argv)
                          "with the cold plan for its key\n";
             ok = false;
         }
-        if (cs.misses != n_tenants ||
+        if (cs.misses != kTenantCount ||
             cs.hits != warm.requests + forkrun.requests) {
             std::cerr << "SERVE CACHE ACCOUNTING OFF: " << cs.hits
                       << " hits / " << cs.misses << " misses, expected "
                       << warm.requests + forkrun.requests << " / "
-                      << n_tenants << "\n";
+                      << kTenantCount << "\n";
             ok = false;
         }
         if (speedup < 10.0) {
@@ -200,65 +282,55 @@ main(int argc, char **argv)
             ok = false;
         }
 
-        // ---- eviction-churn stress (--verify) ---------------------------
-        std::uint64_t churn_evictions = 0;
+        // ---- eviction-churn stress ---------------------------------------
+        PlanServiceConfig ccfg = cfg;
+        ccfg.cacheEntries = 2; // 4 tenants round-robin: always evicting
+        ccfg.coldIterations = 2;
+        obs::MetricsRegistry cmetrics;
+        cmetrics.setEnabled(true);
+        PlanService churn_svc(ccfg, &cmetrics);
+        RequestQueue churn_queue(churn_svc);
+        DigestLedger churn_ledger;
         std::size_t churn_requests = 0;
-        bool churn_identical = true;
-        if (opt.verify) {
-            PlanServiceConfig ccfg = cfg;
-            ccfg.cacheEntries = 2; // 4 tenants round-robin: always evicting
-            ccfg.coldIterations = 2;
-            obs::MetricsRegistry cmetrics;
-            cmetrics.setEnabled(true);
-            PlanService churn_svc(ccfg, &cmetrics);
-            RequestQueue churn_queue(churn_svc, qcfg);
-            ServeDigestLedger churn_ledger;
-            int rounds = opt.quick ? 2 : 3;
-            for (int round = 0; round < rounds; ++round) {
-                std::vector<PlanRequest> reqs =
-                    serveMix(kServeTenants, std::size(kServeTenants),
-                             std::size(kServeTenants), /*warm_iters=*/0);
-                ServePhaseResult res = runServePhase(churn_queue, reqs);
-                churn_ledger.observe(reqs, res.responses);
-                churn_requests += res.requests;
-                if (res.errors) {
-                    std::cerr << "CHURN ERRORS in round " << round << "\n";
-                    ok = false;
-                }
-            }
-            const PlanCacheStats &ccs = churn_svc.cacheStats();
-            churn_evictions = ccs.evictions;
-            churn_identical = churn_ledger.identical();
-            std::cout << "  churn: " << churn_requests
-                      << " req over capacity-2 cache, " << ccs.evictions
-                      << " evictions, " << churn_svc.cacheEntries()
-                      << " resident, re-measured plans identical: "
-                      << (churn_identical ? "yes" : "NO") << "\n";
-            if (!churn_identical) {
-                std::cerr << "CHURN DIGEST MISMATCH: a re-measured plan "
-                             "differs from the first plan for its key\n";
-                ok = false;
-            }
-            if (ccs.evictions == 0 || churn_svc.cacheEntries() > 2) {
-                std::cerr << "CHURN DID NOT EVICT (evictions="
-                          << ccs.evictions << ", entries="
-                          << churn_svc.cacheEntries() << ")\n";
-                ok = false;
-            }
-            if (churn_svc.templateSessions() > churn_svc.cacheEntries()) {
-                std::cerr << "TEMPLATE SESSION LEAK: "
-                          << churn_svc.templateSessions()
-                          << " sessions for " << churn_svc.cacheEntries()
-                          << " cache entries\n";
+        for (int round = 0; round < kChurnRounds; ++round) {
+            std::vector<PlanRequest> reqs =
+                requestMix(kTenantCount, /*warm_iters=*/0);
+            PhaseResult res = runPhase(churn_queue, reqs);
+            churn_ledger.observe(reqs, res.responses);
+            churn_requests += res.requests;
+            if (res.errors) {
+                std::cerr << "CHURN ERRORS in round " << round << "\n";
                 ok = false;
             }
         }
+        const PlanCacheStats &ccs = churn_svc.cacheStats();
+        bool churn_identical = churn_ledger.identical();
+        std::cout << "  churn: " << churn_requests
+                  << " req over capacity-2 cache, " << ccs.evictions
+                  << " evictions, " << churn_svc.cacheEntries()
+                  << " resident, re-measured plans identical: "
+                  << (churn_identical ? "yes" : "NO") << "\n";
+        if (!churn_identical) {
+            std::cerr << "CHURN DIGEST MISMATCH: a re-measured plan "
+                         "differs from the first plan for its key\n";
+            ok = false;
+        }
+        if (ccs.evictions == 0 || churn_svc.cacheEntries() > 2) {
+            std::cerr << "CHURN DID NOT EVICT (evictions=" << ccs.evictions
+                      << ", entries=" << churn_svc.cacheEntries() << ")\n";
+            ok = false;
+        }
+        if (churn_svc.templateSessions() > churn_svc.cacheEntries()) {
+            std::cerr << "TEMPLATE SESSION LEAK: "
+                      << churn_svc.templateSessions() << " sessions for "
+                      << churn_svc.cacheEntries() << " cache entries\n";
+            ok = false;
+        }
 
-        if (!opt.json.empty()) {
-            std::ofstream js(opt.json);
+        if (!json.empty()) {
+            std::ofstream js(json);
             js << "{\n  \"schema\": \"capu-serve-v1\",\n"
-               << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
-               << "  \"tenants\": " << n_tenants << ",\n"
+               << "  \"tenants\": " << kTenantCount << ",\n"
                << "  \"cold\": {\"requests\": " << cold.requests
                << ", \"req_per_sec\": " << jsonNum(cold.reqPerSec)
                << ", \"p50_ms\": " << jsonNum(cold.p50Ms)
@@ -275,10 +347,10 @@ main(int argc, char **argv)
                << "  \"hits\": " << cs.hits << ",\n"
                << "  \"misses\": " << cs.misses << ",\n"
                << "  \"churn\": {\"requests\": " << churn_requests
-               << ", \"evictions\": " << churn_evictions
+               << ", \"evictions\": " << ccs.evictions
                << ", \"identical\": "
                << (churn_identical ? "true" : "false") << "}\n}\n";
-            std::cout << "  wrote " << opt.json << "\n";
+            std::cout << "  wrote " << json << "\n";
         }
 
         if (!ok) {

@@ -37,10 +37,24 @@ PolicyMaker::PolicyMaker(const Graph &graph, const AccessTracker &tracker,
 }
 
 std::vector<PolicyMaker::Candidate>
-PolicyMaker::gatherCandidates(const BytesFn &tensor_bytes,
+PolicyMaker::gatherCandidates(Plan &plan, const BytesFn &tensor_bytes,
                               const SwapTimeFn &swap_time,
-                              const PeakWindow &peak) const
+                              std::uint64_t gpu_capacity) const
 {
+    // Peak window of the hypothetical (infinite-memory) usage curve; the
+    // curve covers non-weight tensors, so compare against the capacity
+    // left after the persistent weights.
+    std::uint64_t weight_bytes = graph_.bytesOfKind(TensorKind::Weight);
+    std::uint64_t threshold =
+        gpu_capacity > weight_bytes ? gpu_capacity - weight_bytes : 0;
+    auto curve_bytes = [&](TensorId id) -> std::uint64_t {
+        return graph_.tensor(id).kind == TensorKind::Weight
+                   ? 0
+                   : tensor_bytes(id);
+    };
+    plan.peak = tracker_.peakWindow(curve_bytes, threshold);
+    const PeakWindow &peak = plan.peak;
+
     std::vector<Candidate> cands;
     cands.reserve(graph_.tensors().size());
     for (const auto &t : graph_.tensors()) {
@@ -97,17 +111,17 @@ PolicyMaker::gatherCandidates(const BytesFn &tensor_bytes,
         c.extTime = 0;
         cands.push_back(std::move(c));
     }
-    return cands;
-}
 
-void
-PolicyMaker::initRecomputeState(Candidate &cand,
-                                const std::vector<Candidate> &all) const
-{
-    std::unordered_set<TensorId> cand_set;
-    for (const auto &c : all)
-        cand_set.insert(c.tensor);
-    initRecomputeState(cand, cand_set);
+    if (opts_.enableRecompute) {
+        // One candidate-set for all lineage walks, not one per call.
+        std::unordered_set<TensorId> cand_set;
+        cand_set.reserve(cands.size());
+        for (const auto &c : cands)
+            cand_set.insert(c.tensor);
+        for (auto &c : cands)
+            initRecomputeState(c, cand_set);
+    }
+    return cands;
 }
 
 void
@@ -282,181 +296,11 @@ containsTensor(const std::vector<TensorId> &v, TensorId t)
 } // namespace
 
 void
-PolicyMaker::runReference(Plan &plan, std::vector<Candidate> cands) const
-{
-    struct Recomp
-    {
-        TensorId tensor;
-        std::vector<TensorId> srcs;
-        Tick rpTime;
-    };
-    std::vector<Recomp> recomps;
-
-    std::vector<Xfer> chosen_out, chosen_in;
-
-    auto exposure = [&](const Candidate &c) -> Tick {
-        Tick interval = c.backTime - c.evictTime;
-        Tick round_trip = 2 * c.swapTime;
-        Tick exposed = round_trip > interval ? round_trip - interval : 0;
-        exposed += queueDelay(chosen_out, Xfer{c.evictTime, c.swapTime});
-        Tick in_anchor = c.backTime > c.swapTime ? c.backTime - c.swapTime
-                                                 : 0;
-        exposed += queueDelay(chosen_in, Xfer{in_anchor, c.swapTime});
-        return exposed;
-    };
-    auto can_recompute = [](const Candidate &c) {
-        return c.rpTime > 0;
-    };
-
-    std::int64_t saving = static_cast<std::int64_t>(plan.targetBytes);
-
-    auto emit_swap = [&](std::size_t idx) {
-        Candidate c = cands[idx];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(idx));
-        PlannedEviction item;
-        item.tensor = c.tensor;
-        item.mode = RegenChoice::Swap;
-        item.bytes = c.bytes;
-        item.evictAfterAccess = c.evictAfterAccess;
-        item.backAccess = c.backAccess;
-        item.evictTime = c.evictTime;
-        item.backTime = c.backTime;
-        item.swapTime = c.swapTime;
-        item.freeTime = c.freeTime;
-        item.estimatedOverhead = exposure(c);
-        chooseInTrigger(item, plan.peak);
-        plan.items.push_back(item);
-        ++plan.swapCount;
-        plan.plannedBytes += c.bytes;
-        chosen_out.push_back(Xfer{c.evictTime, c.swapTime});
-        chosen_in.push_back(
-            Xfer{c.backTime > c.swapTime ? c.backTime - c.swapTime : 0,
-                 c.swapTime});
-        saving -= static_cast<std::int64_t>(c.bytes);
-    };
-
-    auto emit_recompute = [&](std::size_t idx) {
-        Candidate c = cands[idx];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(idx));
-
-        // Algorithm 2, lines 5-12: targets whose source set contained the
-        // newly chosen tensor now start from its sources instead, and the
-        // shared prefix is replayed once more per such target.
-        int ext_ct = 1;
-        for (auto &rp : recomps) {
-            if (containsTensor(rp.srcs, c.tensor)) {
-                rp.srcs.erase(
-                    std::remove(rp.srcs.begin(), rp.srcs.end(), c.tensor),
-                    rp.srcs.end());
-                for (TensorId s : c.srcs) {
-                    if (!containsTensor(rp.srcs, s))
-                        rp.srcs.push_back(s);
-                }
-                ++ext_ct;
-            }
-        }
-        recomps.push_back(Recomp{c.tensor, c.srcs, c.rpTime});
-
-        // Algorithm 2, lines 17-34: update the remaining candidates.
-        for (auto &cand : cands) {
-            if (!can_recompute(cand))
-                continue;
-            if (containsTensor(cand.srcs, c.tensor)) {
-                cand.srcs.erase(std::remove(cand.srcs.begin(),
-                                            cand.srcs.end(), c.tensor),
-                                cand.srcs.end());
-                for (TensorId s : c.srcs) {
-                    if (!containsTensor(cand.srcs, s))
-                        cand.srcs.push_back(s);
-                }
-                cand.rpTime += c.rpTime;
-                cand.extTime = 0;
-                for (const auto &rp : recomps) {
-                    if (containsTensor(rp.srcs, cand.tensor))
-                        cand.extTime += cand.rpTime;
-                }
-            }
-            if (containsTensor(c.srcs, cand.tensor)) {
-                cand.extTime =
-                    static_cast<Tick>(ext_ct) * cand.rpTime;
-            }
-        }
-
-        PlannedEviction item;
-        item.tensor = c.tensor;
-        item.mode = RegenChoice::Recompute;
-        item.bytes = c.bytes;
-        item.evictAfterAccess = c.evictAfterAccess;
-        item.backAccess = c.backAccess;
-        item.evictTime = c.evictTime;
-        item.backTime = c.backTime;
-        item.recomputeTime = c.rpTime + c.extTime;
-        item.estimatedOverhead = item.recomputeTime;
-        plan.items.push_back(item);
-        ++plan.recomputeCount;
-        plan.plannedBytes += c.bytes;
-        saving -= static_cast<std::int64_t>(c.bytes);
-    };
-
-    while (saving > 0 && !cands.empty()) {
-        // Best swap: maximal FT, i.e. minimal exposure.
-        std::size_t s_idx = cands.size();
-        if (opts_.enableSwap) {
-            for (std::size_t i = 0; i < cands.size(); ++i) {
-                if (s_idx == cands.size() ||
-                    exposure(cands[i]) < exposure(cands[s_idx]) ||
-                    (exposure(cands[i]) == exposure(cands[s_idx]) &&
-                     cands[i].freeTime > cands[s_idx].freeTime)) {
-                    s_idx = i;
-                }
-            }
-        }
-        if (s_idx < cands.size() && exposure(cands[s_idx]) == 0) {
-            emit_swap(s_idx); // fully hidden: swap is free (§4.5)
-            continue;
-        }
-
-        std::size_t r_idx = cands.size();
-        if (opts_.enableRecompute) {
-            for (std::size_t i = 0; i < cands.size(); ++i) {
-                if (!can_recompute(cands[i]))
-                    continue;
-                if (r_idx == cands.size() ||
-                    cands[i].msps() > cands[r_idx].msps()) {
-                    r_idx = i;
-                }
-            }
-        }
-
-        bool have_s = s_idx < cands.size();
-        bool have_r = r_idx < cands.size();
-        if (have_s && have_r) {
-            Tick s_over = exposure(cands[s_idx]);
-            Tick r_over = cands[r_idx].rpTime + cands[r_idx].extTime;
-            if (s_over <= r_over)
-                emit_swap(s_idx);
-            else
-                emit_recompute(r_idx);
-        } else if (have_s) {
-            emit_swap(s_idx);
-        } else if (have_r) {
-            emit_recompute(r_idx);
-        } else {
-            break; // nothing actionable left
-        }
-    }
-
-    if (saving > 0) {
-        warn("policy maker covered {} of {} saving target",
-             formatBytes(plan.plannedBytes), formatBytes(plan.targetBytes));
-    }
-}
-
-void
 PolicyMaker::runIncremental(Plan &plan, std::vector<Candidate> cands) const
 {
-    // Same selection rules and tie-breaks as runReference, with the
-    // rescans replaced by incremental bookkeeping:
+    // Same selection rules and tie-breaks as the original full-rescan
+    // loop (kept as a test oracle, tests/reference_policy_maker.cc), with
+    // the rescans replaced by incremental bookkeeping:
     //  - exposures are cached per candidate and stamped with a lane
     //    epoch; only an emitted swap changes the PCIe lanes, so picks
     //    that recompute invalidate nothing;
@@ -705,8 +549,8 @@ PolicyMaker::runIncremental(Plan &plan, std::vector<Candidate> cands) const
 
     while (saving > 0 && alive_count > 0) {
         // Best swap: maximal FT, i.e. minimal exposure. Scan order over
-        // the liveness mask equals the reference's vector order, so ties
-        // resolve identically.
+        // the liveness mask equals the full rescan's vector order, so
+        // ties resolve identically.
         std::size_t s_idx = n;
         Tick s_exp = 0;
         if (opts_.enableSwap) {
@@ -762,40 +606,9 @@ PolicyMaker::build(std::uint64_t mem_saving_target,
     if (mem_saving_target == 0 || tracker_.empty())
         return plan;
 
-    // Peak window of the hypothetical (infinite-memory) usage curve; the
-    // curve covers non-weight tensors, so compare against the capacity
-    // left after the persistent weights.
-    std::uint64_t weight_bytes = graph_.bytesOfKind(TensorKind::Weight);
-    std::uint64_t threshold =
-        gpu_capacity > weight_bytes ? gpu_capacity - weight_bytes : 0;
-    auto curve_bytes = [&](TensorId id) -> std::uint64_t {
-        return graph_.tensor(id).kind == TensorKind::Weight
-                   ? 0
-                   : tensor_bytes(id);
-    };
-    plan.peak = tracker_.peakWindow(curve_bytes, threshold);
-
-    std::vector<Candidate> cands =
-        gatherCandidates(tensor_bytes, swap_time, plan.peak);
-    if (opts_.enableRecompute) {
-        if (opts_.incremental) {
-            // One candidate-set for all lineage walks, not one per call.
-            std::unordered_set<TensorId> cand_set;
-            cand_set.reserve(cands.size());
-            for (const auto &c : cands)
-                cand_set.insert(c.tensor);
-            for (auto &c : cands)
-                initRecomputeState(c, cand_set);
-        } else {
-            for (auto &c : cands)
-                initRecomputeState(c, cands);
-        }
-    }
-
-    if (opts_.incremental)
-        runIncremental(plan, std::move(cands));
-    else
-        runReference(plan, std::move(cands));
+    runIncremental(plan,
+                   gatherCandidates(plan, tensor_bytes, swap_time,
+                                    gpu_capacity));
     return plan;
 }
 

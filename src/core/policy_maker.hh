@@ -87,13 +87,6 @@ struct PolicyMakerOptions
     bool enableRecompute = true;
     /** Ignore tensors smaller than this (not worth a transfer/replay). */
     std::uint64_t minTensorBytes = 1ull << 20;
-    /**
-     * Use the incremental Algorithm-2 engine (exposure caching, MSPS
-     * max-heap, per-source reverse indexes). Off = the original
-     * full-rescan loop, kept as a byte-identical reference oracle for
-     * tests and the perf harness. Both engines produce the same plan.
-     */
-    bool incremental = true;
 };
 
 class PolicyMaker
@@ -124,6 +117,9 @@ class PolicyMaker
     bool repickTrigger(PlannedEviction &item) const;
 
   private:
+    /** The test-only full-rescan oracle plans from the same candidates. */
+    friend class ReferencePolicyMaker;
+
     const Graph &graph_;
     const AccessTracker &tracker_;
     PolicyMakerOptions opts_;
@@ -151,12 +147,16 @@ class PolicyMaker
         }
     };
 
-    std::vector<Candidate> gatherCandidates(const BytesFn &tensor_bytes,
+    /**
+     * The selection loop's inputs: sets plan.peak and returns the
+     * candidates in graph order, with their Algorithm-2 recompute state
+     * when recomputation is enabled.
+     */
+    std::vector<Candidate> gatherCandidates(Plan &plan,
+                                            const BytesFn &tensor_bytes,
                                             const SwapTimeFn &swap_time,
-                                            const PeakWindow &peak) const;
+                                            std::uint64_t gpu_capacity) const;
 
-    void initRecomputeState(Candidate &cand,
-                            const std::vector<Candidate> &all) const;
     void initRecomputeState(
         Candidate &cand,
         const std::unordered_set<TensorId> &cand_set) const;
@@ -164,9 +164,10 @@ class PolicyMaker
     void chooseInTrigger(PlannedEviction &item,
                          const PeakWindow &peak) const;
 
-    /** Original full-rescan Algorithm-2 loop (reference oracle). */
-    void runReference(Plan &plan, std::vector<Candidate> cands) const;
-    /** Incremental engine; emits the same plan as runReference. */
+    /**
+     * Algorithm 2 with exposure caching per PCIe lane epoch, a lazy MSPS
+     * max-heap and per-source reverse indexes.
+     */
     void runIncremental(Plan &plan, std::vector<Candidate> cands) const;
 };
 

@@ -252,6 +252,9 @@ struct IterationStats
 
     Tick duration() const { return end - begin; }
 
+    /** Every field, the absolute begin/end ticks included. */
+    bool operator==(const IterationStats &) const = default;
+
     double
     throughput(std::int64_t batch) const
     {

@@ -270,6 +270,7 @@ ReplayEngine::digestOf(const Delta &d) const
     mix(static_cast<std::uint64_t>(s.inplaceForwards));
     mix(static_cast<std::uint64_t>(s.fallbackKernels));
     mix(static_cast<std::uint64_t>(s.oomEvictions));
+    mix(static_cast<std::uint64_t>(s.elidedWritebacks));
     mix(s.prefetchBusy);
     mix(s.prefetchStall);
     mix(s.peakGpuBytes);

@@ -67,6 +67,10 @@ expectIterationsEqual(const SessionResult &a, const SessionResult &b)
         EXPECT_EQ(x.swapInBytes, y.swapInBytes) << "iteration " << i;
         EXPECT_EQ(x.peakGpuBytes, y.peakGpuBytes) << "iteration " << i;
         EXPECT_EQ(x.oomEvictions, y.oomEvictions) << "iteration " << i;
+        EXPECT_EQ(x.elidedWritebacks, y.elidedWritebacks)
+            << "iteration " << i;
+        // Backs up the list above with every other field.
+        EXPECT_TRUE(x == y) << "iteration " << i;
     }
 }
 

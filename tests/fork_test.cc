@@ -110,9 +110,13 @@ expectIterationsEqual(const SessionResult &a, const SessionResult &b)
         EXPECT_EQ(x.inplaceForwards, y.inplaceForwards) << "iteration " << i;
         EXPECT_EQ(x.fallbackKernels, y.fallbackKernels) << "iteration " << i;
         EXPECT_EQ(x.oomEvictions, y.oomEvictions) << "iteration " << i;
+        EXPECT_EQ(x.elidedWritebacks, y.elidedWritebacks)
+            << "iteration " << i;
         EXPECT_EQ(x.prefetchBusy, y.prefetchBusy) << "iteration " << i;
         EXPECT_EQ(x.prefetchStall, y.prefetchStall) << "iteration " << i;
         EXPECT_EQ(x.peakGpuBytes, y.peakGpuBytes) << "iteration " << i;
+        // Catches any field added later but missing from the list above.
+        EXPECT_TRUE(x == y) << "iteration " << i;
     }
 }
 

@@ -2,9 +2,10 @@
  * @file
  * Tests for the capuspeed hot-path structures: the work-stealing
  * ThreadPool, the 4-ary EventQueue against a reference model, the
- * incremental PolicyMaker engine against the full-rescan reference on
- * every zoo model, CostModel memoization transparency, and the indexed
- * AccessTracker queries against brute-force scans.
+ * incremental PolicyMaker engine against the test-only full-rescan
+ * oracle on every zoo model, findMaxBatch against plain bisection,
+ * CostModel memoization transparency, and the indexed AccessTracker
+ * queries against brute-force scans.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/capuchin_policy.hh"
@@ -24,7 +26,10 @@
 #include "sim/event_queue.hh"
 #include "sim/gpu_device.hh"
 #include "support/logging.hh"
+#include "policy/vdnn_policy.hh"
 #include "support/thread_pool.hh"
+
+#include "reference_policy_maker.hh"
 
 using namespace capu;
 
@@ -262,8 +267,9 @@ expectPlansIdentical(const Plan &ref, const Plan &inc, const char *model)
 
 /**
  * Run one measured-then-guided session at an oversubscribed batch, then
- * rebuild the plan standalone with both engines and demand byte-for-byte
- * identical output (the acceptance bar for the incremental engine).
+ * rebuild the plan standalone with the production engine and the
+ * full-rescan oracle and demand byte-for-byte identical output, under the
+ * hybrid default and under each one-sided option.
  */
 void
 checkIncrementalMatchesReference(ModelKind kind, std::int64_t batch)
@@ -287,17 +293,24 @@ checkIncrementalMatchesReference(ModelKind kind, std::int64_t batch)
     auto bytes_fn = [&](TensorId id) { return ex.tensorBytes(id); };
     auto swap_fn = [&](std::uint64_t b) { return ex.swapTime(b); };
 
-    PolicyMakerOptions pmo;
-    pmo.incremental = false;
-    Plan ref = PolicyMaker(session.graph(), capu->tracker(), pmo)
-                   .build(target, bytes_fn, swap_fn, ex.gpuCapacity());
-    pmo.incremental = true;
-    Plan inc = PolicyMaker(session.graph(), capu->tracker(), pmo)
-                   .build(target, bytes_fn, swap_fn, ex.gpuCapacity());
-
-    EXPECT_GT(inc.items.size(), 0u)
-        << modelName(kind) << ": empty plan makes this test vacuous";
-    expectPlansIdentical(ref, inc, modelName(kind));
+    // The hybrid default, then each one-sided branch of Algorithm 1.
+    PolicyMakerOptions hybrid, no_swap, no_recompute;
+    no_swap.enableSwap = false;
+    no_recompute.enableRecompute = false;
+    for (const PolicyMakerOptions &pmo : {hybrid, no_swap, no_recompute}) {
+        std::string label = std::string(modelName(kind)) +
+                            (!pmo.enableSwap        ? " (no swap)"
+                             : !pmo.enableRecompute ? " (no recompute)"
+                                                    : "");
+        Plan ref =
+            ReferencePolicyMaker(session.graph(), capu->tracker(), pmo)
+                .build(target, bytes_fn, swap_fn, ex.gpuCapacity());
+        Plan inc = PolicyMaker(session.graph(), capu->tracker(), pmo)
+                       .build(target, bytes_fn, swap_fn, ex.gpuCapacity());
+        EXPECT_GT(inc.items.size(), 0u)
+            << label << ": empty plan makes this test vacuous";
+        expectPlansIdentical(ref, inc, label.c_str());
+    }
     // (The *live* policy's plan is deliberately not compared: iterative
     // refinement grows its saving target beyond measuredEvicted ×
     // savingMargin, and runtime feedback shifts trigger timing.)
@@ -312,6 +325,65 @@ TEST(IncrementalPlan, InceptionV3) { checkIncrementalMatchesReference(ModelKind:
 TEST(IncrementalPlan, InceptionV4) { checkIncrementalMatchesReference(ModelKind::InceptionV4, 120); }
 TEST(IncrementalPlan, DenseNet121) { checkIncrementalMatchesReference(ModelKind::DenseNet121, 200); }
 TEST(IncrementalPlan, BertBase) { checkIncrementalMatchesReference(ModelKind::BertBase, 110); }
+
+// ------------------------------------------------ max-batch search oracle
+
+namespace
+{
+
+/**
+ * Plain bisection over [lo, hi]: no memo, no gallop, a fresh session per
+ * feasibility question, and findMaxBatch's robustness rule (the batch one
+ * 1/32 step below must fit too).
+ */
+std::int64_t
+bisectMaxBatch(const GraphBuilderFn &builder,
+               const PolicyFactoryFn &make_policy, const ExecConfig &config,
+               int iterations, std::int64_t lo, std::int64_t hi)
+{
+    auto feasible = [&](std::int64_t batch) {
+        Session session(builder(batch), config, make_policy());
+        return !session.run(iterations).oom;
+    };
+    auto robust = [&](std::int64_t batch) {
+        std::int64_t step = std::max<std::int64_t>(1, batch / 32);
+        return feasible(batch) &&
+               (batch - step < lo || feasible(batch - step));
+    };
+    if (!feasible(lo))
+        return 0;
+    if (robust(hi))
+        return hi;
+    std::int64_t good = lo;
+    std::int64_t bad = hi;
+    while (good + 1 < bad) {
+        std::int64_t mid = good + (bad - good) / 2;
+        if (robust(mid))
+            good = mid;
+        else
+            bad = mid;
+    }
+    return good;
+}
+
+/** vDNN over [1, 4096] at a 60-iteration horizon, as perf_harness runs. */
+void
+checkMaxBatchMatchesBisection(ModelKind kind)
+{
+    setLogEnabled(false);
+    ExecConfig cfg;
+    auto builder = [kind](std::int64_t b) { return buildModel(kind, b); };
+    auto policy = [] { return makeVdnnPolicy(); };
+    std::int64_t fast = findMaxBatch(builder, policy, cfg, 60, 1, 4096);
+    EXPECT_GT(fast, 1) << modelName(kind);
+    EXPECT_EQ(fast, bisectMaxBatch(builder, policy, cfg, 60, 1, 4096))
+        << modelName(kind);
+}
+
+} // namespace
+
+TEST(MaxBatchSearch, Vgg16MatchesBisection) { checkMaxBatchMatchesBisection(ModelKind::Vgg16); }
+TEST(MaxBatchSearch, BertMatchesBisection) { checkMaxBatchMatchesBisection(ModelKind::BertBase); }
 
 // ------------------------------------------------------- CostModel memoizing
 

@@ -532,7 +532,7 @@ main(int argc, char **argv)
         if (opt.obsSelfcheck) {
             // Self-measurement: run the same workload at every obs level,
             // compare host wall-clock (the observability overhead) and
-            // verify the simulated result is bit-identical (observer
+            // verify every iteration's stats are bit-identical (observer
             // effect must be zero).
             struct LevelRun
             {
@@ -540,6 +540,7 @@ main(int argc, char **argv)
                 double wallMs = 0;
                 Tick simTicks = 0;
                 std::uint64_t events = 0;
+                std::vector<IterationStats> iterations;
             };
             std::vector<LevelRun> runs;
             {
@@ -568,7 +569,8 @@ main(int argc, char **argv)
                 for (const auto &it : rr.iterations)
                     lr.simTicks += it.duration();
                 lr.events = s.executor().obs().tracer.recorded();
-                runs.push_back(lr);
+                lr.iterations = std::move(rr.iterations);
+                runs.push_back(std::move(lr));
             }
             Table t({"obs level", "wall ms", "overhead", "sim time",
                      "events"});
@@ -583,13 +585,13 @@ main(int argc, char **argv)
             }
             t.print(std::cout);
             for (const auto &lr : runs) {
-                if (lr.simTicks != runs[0].simTicks) {
-                    std::cerr << "capusim: OBSERVER EFFECT: simulated time "
-                                 "differs between obs levels\n";
+                if (lr.iterations != runs[0].iterations) {
+                    std::cerr << "capusim: OBSERVER EFFECT: iteration stats "
+                                 "differ between obs levels\n";
                     return 3;
                 }
             }
-            std::cout << "observer effect: none (simulated time identical "
+            std::cout << "observer effect: none (iteration stats identical "
                          "at every obs level)\n";
             return 0;
         }
