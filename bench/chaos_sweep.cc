@@ -126,7 +126,7 @@ runCell(const Workload &w, const FaultPlanRow &p)
     cell.wall = ticksToSec(r.iterations.back().end -
                            r.iterations.front().begin);
     cell.recovery =
-        recoverySummary(session.executor().faultEngine().stats());
+        recoverySummary(session.executor().faults().stats());
     return cell;
 }
 

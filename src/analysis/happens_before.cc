@@ -43,8 +43,7 @@ eventLabel(const hb::HbEvent &ev, const Graph *graph)
 // ---------------------------------------------------------------------------
 
 HbAnalysis
-buildPlanEventGraph(const Plan &plan, const Graph &graph,
-                    const AccessTracker &tracker,
+buildPlanEventGraph(const Plan &plan, const AccessTracker &tracker,
                     const PlanChecker::BytesFn &tensor_bytes,
                     const PlanChecker::SwapTimeFn &swap_time,
                     const hb::OrderingRules &rules)

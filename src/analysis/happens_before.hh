@@ -73,7 +73,7 @@ struct HbAnalysis
  * Structurally invalid items (anchors missing from the trace) are skipped
  * here — the PlanChecker reports those.
  */
-HbAnalysis buildPlanEventGraph(const Plan &plan, const Graph &graph,
+HbAnalysis buildPlanEventGraph(const Plan &plan,
                                const AccessTracker &tracker,
                                const PlanChecker::BytesFn &tensor_bytes,
                                const PlanChecker::SwapTimeFn &swap_time,

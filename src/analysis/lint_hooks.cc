@@ -55,7 +55,7 @@ runPlanLint(const Plan &plan, const Graph &graph,
     PlanChecker checker(graph, tracker, opts);
     LintReport report = checker.check(plan, bytes_of, swap_time);
     report.append(checkHappensBefore(
-        buildPlanEventGraph(plan, graph, tracker, bytes_of, swap_time),
+        buildPlanEventGraph(plan, tracker, bytes_of, swap_time),
         &graph));
 
     if (hook.printFindings && !report.diags.empty()) {

@@ -11,12 +11,31 @@
 namespace capu
 {
 
+namespace
+{
+
+/** Host-side dispatch cost per op in eager mode (Python interpreter). */
+constexpr Tick kEagerHostOverhead = ticksFromUs(30);
+
+/**
+ * Eager activations are allocated with this slack factor: graph mode's
+ * buffer forwarding, pruning and fusion shrink the activation footprint
+ * relative to op-by-op execution (paper §6.4.1: ResNet-50 fits 190 in
+ * graph mode but only 122 eagerly).
+ */
+constexpr double kEagerActivationSlack = 1.5;
+
+/** Pinned host staging capacity (the testbed had 256 GB). */
+constexpr std::uint64_t kHostPoolBytes = 256ull << 30;
+
+} // namespace
+
 Executor::Executor(const Graph &graph, ExecConfig config,
                    MemoryPolicy *policy)
     : graph_(graph), config_(std::move(config)), policy_(policy),
       cost_(config_.device), faults_(config_.faults, config_.seed),
       mem_(config_.device.memCapacity,
-           faults_.clampHostBytes(config_.hostPoolBytes), config_.allocator),
+           faults_.clampHostBytes(kHostPoolBytes), config_.allocator),
       compute_("compute"),
       pcie_(config_.device.pcieBandwidth, config_.device.pcieLatency)
 {
@@ -110,7 +129,7 @@ Executor::allocBytes(TensorId id) const
     if (config_.eagerMode && (t.kind == TensorKind::FeatureMap ||
                               t.kind == TensorKind::Gradient)) {
         return static_cast<std::uint64_t>(
-            static_cast<double>(t.bytes) * config_.eagerActivationSlack);
+            static_cast<double>(t.bytes) * kEagerActivationSlack);
     }
     return t.bytes;
 }
@@ -149,8 +168,8 @@ Executor::setup()
     }
     // Schedule position of each tensor's last consumer (-1 = never
     // consumed). Host copies die at refcount zero, i.e. right after this
-    // position; regenCheck() uses it to decide whether a host copy will
-    // still exist when a dropped descendant replays.
+    // position; canRegenerateStably() uses it to decide whether a host
+    // copy will still exist when a dropped descendant replays.
     lastUsePos_.assign(graph_.numTensors(), -1);
     for (std::size_t p = 0; p < schedule_.size(); ++p) {
         for (TensorId in : graph_.op(schedule_[p]).inputs)
@@ -228,11 +247,18 @@ Executor::setupWeights()
         TensorState &st = state(t.id);
         st.gpuHandle = *h;
         st.status = TensorStatus::In;
-        st.produced = true;
-        st.weightVersion = 0;
-        st.fingerprint = hashCombine(hashString(t.name.c_str()), 0);
-        st.expectedFp = st.fingerprint;
+        setWeightVersion(t.id, 0);
     }
+}
+
+void
+Executor::setWeightVersion(TensorId id, int version)
+{
+    TensorState &st = state(id);
+    st.weightVersion = version;
+    st.fingerprint = hashCombine(hashString(graph_.tensor(id).name.c_str()),
+                                 static_cast<std::uint64_t>(version));
+    st.expectedFp = st.fingerprint;
 }
 
 void
@@ -260,15 +286,9 @@ Executor::abortIteration()
             mem_.freeNow(clock_, *st.gpuHandle);
             st.gpuHandle.reset();
         }
-        if (st.hasHostCopy) {
-            noteRetired(id);
-            mem_.host().deallocate(st.hostHandle);
-            st.hasHostCopy = false;
-            st.hostHandle = 0;
-        }
+        retireHostCopy(id);
         closePhase(id, clock_);
         st.status = TensorStatus::Out;
-        st.produced = false;
         st.pinCount = 0;
         st.accessCount = 0;
     }
@@ -341,15 +361,9 @@ Executor::finishIterationState()
             mem_.freeAt(std::max(clock_, st.swapOutDone), *st.gpuHandle);
             st.gpuHandle.reset();
         }
-        if (st.hasHostCopy) {
-            noteRetired(id);
-            mem_.host().deallocate(st.hostHandle);
-            st.hasHostCopy = false;
-            st.hostHandle = 0;
-        }
+        retireHostCopy(id);
         closePhase(id, clock_);
         st.status = TensorStatus::Out;
-        st.produced = false;
     }
     stats_.end = clock_;
     stats_.peakGpuBytes = mem_.gpu().stats().peakBytesInUse;
@@ -467,24 +481,18 @@ Executor::ensureResident(TensorId id, Tick at)
         return at;
 
       case TensorStatus::SwappingIn: {
-          Tick stall = st.swapInReady > at ? st.swapInReady - at : 0;
-          if (stall > 0) {
-              stats_.inputStall += stall;
-              stats_.prefetchStall += stall;
-              obs_.tracer.complete(obs::kTrackHost, obs::EventKind::Stall,
-                                   at, stall,
-                                   "stall:" + graph_.tensor(id).name,
-                                   static_cast<std::int64_t>(id));
-              if (policy_)
-                  policy_->onBackAccessStall(*this, id, stall);
+          Tick ready = std::max(at, st.swapInReady);
+          if (ready > at) {
+              stats_.prefetchStall += ready - at;
+              noteStall(id, at, ready - at);
           }
           st.status = TensorStatus::In;
-          notePhase(id, "IN", std::max(at, st.swapInReady));
-          return std::max(at, st.swapInReady);
+          notePhase(id, "IN", ready);
+          return ready;
       }
 
       case TensorStatus::Out: {
-          if (!st.hasHostCopy) {
+          if (st.hostHandle == 0) {
               panic("tensor {} accessed while absent with no host copy",
                     graph_.tensor(id).name);
           }
@@ -497,27 +505,11 @@ Executor::ensureResident(TensorId id, Tick at)
                               "recovery.ondemand-swapin:" +
                                   graph_.tensor(id).name,
                               static_cast<std::int64_t>(id));
-          Tick done = pcie_.transfer(CopyDir::HostToDevice,
-                                     wireBytes(allocBytes(id)), at,
-                                     "swapin:" + graph_.tensor(id).name,
-                                     static_cast<std::int64_t>(id));
-          st.gpuHandle = h;
+          Tick done = swapIn(id, h, at, "swapin:");
           st.status = TensorStatus::In;
-          st.swapInReady = done;
-          ++stats_.swapInCount;
-          stats_.swapInBytes += allocBytes(id);
-          noteIn(id);
           obs_.metrics.add("swap.ondemand_count");
-          notePhase(id, "SWAPPING_IN",
-                    pcie_.lastStart(CopyDir::HostToDevice));
           notePhase(id, "IN", done);
-          Tick stall = done - t0;
-          stats_.inputStall += stall;
-          obs_.tracer.complete(obs::kTrackHost, obs::EventKind::Stall, t0,
-                               stall, "stall:" + graph_.tensor(id).name,
-                               static_cast<std::int64_t>(id));
-          if (policy_)
-              policy_->onBackAccessStall(*this, id, stall);
+          noteStall(id, t0, done - t0);
           return done;
       }
 
@@ -525,6 +517,35 @@ Executor::ensureResident(TensorId id, Tick at)
         return recomputeTensor(id, at);
     }
     panic("unreachable tensor status");
+}
+
+void
+Executor::noteStall(TensorId id, Tick from, Tick stall)
+{
+    stats_.inputStall += stall;
+    obs_.tracer.complete(obs::kTrackHost, obs::EventKind::Stall, from, stall,
+                         "stall:" + graph_.tensor(id).name,
+                         static_cast<std::int64_t>(id));
+    if (policy_)
+        policy_->onBackAccessStall(*this, id, stall);
+}
+
+Tick
+Executor::swapIn(TensorId id, MemHandle h, Tick ready, const char *label)
+{
+    TensorState &st = state(id);
+    std::uint64_t bytes = allocBytes(id);
+    Tick done = pcie_.transfer(CopyDir::HostToDevice, wireBytes(bytes), ready,
+                               label + graph_.tensor(id).name,
+                               static_cast<std::int64_t>(id));
+    st.gpuHandle = h;
+    st.swapInReady = done;
+    st.fingerprint = st.hostFp;
+    ++stats_.swapInCount;
+    stats_.swapInBytes += bytes;
+    noteOutEnd(id, "tensor.in_bytes");
+    notePhase(id, "SWAPPING_IN", pcie_.lastStart(CopyDir::HostToDevice));
+    return done;
 }
 
 Tick
@@ -542,7 +563,7 @@ Executor::recomputeTensor(TensorId target, Tick at)
             s == TensorStatus::SwappingIn) {
             return; // resident source
         }
-        if (s == TensorStatus::Out && st.hasHostCopy)
+        if (s == TensorStatus::Out && st.hostHandle != 0)
             return; // swappable source; fetched on demand during replay
         OpId prod = graph_.tensor(tid).producer;
         if (prod == kInvalidOp)
@@ -587,13 +608,8 @@ Executor::recomputeTensor(TensorId target, Tick at)
         bool any = false;
         for (auto it = pool.begin(); it != pool.end();) {
             if (still_needed.count(*it) == 0) {
-                TensorState &st = state(*it);
-                if (st.gpuHandle) {
-                    mem_.freeAt(when, *st.gpuHandle);
-                    st.gpuHandle.reset();
-                    st.status = st.hasHostCopy ? TensorStatus::Out
-                                               : TensorStatus::Recompute;
-                    notePhase(*it, st.hasHostCopy ? "OUT" : "DROPPED", when);
+                if (state(*it).gpuHandle) {
+                    dropChunk(*it, when);
                     any = true;
                 }
                 it = pool.erase(it);
@@ -603,44 +619,19 @@ Executor::recomputeTensor(TensorId target, Tick at)
         }
         return any;
     };
-    auto release_scratch = [&](Tick when, std::size_t plan_pos) {
-        return release_from(scratch, when, plan_pos);
-    };
 
     // --- 2. Replay ---
     for (std::size_t p = 0; p < plan.size(); ++p) {
         const Operation &op = graph_.op(plan[p]);
-
-        // Pin the replay op's tensors: a policy reacting to the allocation
-        // pressure below must not free what this kernel is about to read.
-        for (TensorId in : op.inputs)
-            ++state(in).pinCount;
-        for (TensorId out : op.outputs)
-            ++state(out).pinCount;
-
-        for (TensorId in : op.inputs)
-            at = ensureResident(in, at);
-        if (config_.checkFingerprints) {
-            for (TensorId in : op.inputs)
-                verifyFingerprint(in, op);
-        }
-
-        bool fast = true;
-        std::optional<MemHandle> ws;
-        if (op.fastWorkspaceBytes > 0) {
-            ws = mem_.allocate(at, op.fastWorkspaceBytes);
-            if (!ws) {
-                fast = false;
-                ++stats_.fallbackKernels;
-            }
-        }
+        Launch launch = beginLaunch(op, at, false);
+        at = launch.at;
 
         for (TensorId out : op.outputs) {
             TensorState &ost = state(out);
             if (ost.gpuHandle)
                 continue; // already live (multi-output op partially kept)
             auto h = mem_.allocate(at, allocBytes(out));
-            if (!h && release_scratch(at, p))
+            if (!h && release_from(scratch, at, p))
                 h = mem_.allocate(at, allocBytes(out));
             if (!h && release_from(kept, at, p))
                 h = mem_.allocate(at, allocBytes(out));
@@ -655,9 +646,7 @@ Executor::recomputeTensor(TensorId target, Tick at)
             notePhase(out, "IN", at);
         }
 
-        Tick dur = cost_.opDuration(op, fast);
-        if (faults_.enabled())
-            dur = faults_.jitterKernel(dur);
+        Tick dur = kernelDuration(op, launch.fast);
         Tick end = compute_.enqueue(at, dur, "recompute:" + op.name,
                                     obs::EventKind::Recompute,
                                     static_cast<std::int64_t>(target),
@@ -665,50 +654,40 @@ Executor::recomputeTensor(TensorId target, Tick at)
         at = end;
         stats_.recomputeBusy += dur;
         ++stats_.recomputeOps;
-        if (ws)
-            mem_.freeAt(end, *ws);
-
-        for (TensorId in : op.inputs)
-            --state(in).pinCount;
-        for (TensorId out : op.outputs)
-            --state(out).pinCount;
+        if (launch.ws)
+            mem_.freeAt(end, *launch.ws);
+        pinOperands(op, -1);
 
         for (TensorId out : op.outputs) {
-            produceFingerprint(out, op);
+            // Regenerated data: the fingerprint recorded at production
+            // stays the reference its consumers check against.
             TensorState &ost = state(out);
-            ost.produced = true;
-            bool is_target = out == target;
-            bool has_future_uses = ost.remainingUses > 0;
-            if (is_target)
+            ost.fingerprint = lineageFingerprint(out, op);
+            if (out == target)
                 continue;
-            if (has_future_uses) {
+            if (ost.remainingUses > 0) {
                 if (config_.collectiveRecompute) {
                     // Keep it: one replay satisfies several targets (§5.3).
                     kept.push_back(out);
                     continue;
                 }
                 // Non-collective: release; it will be replayed again later.
-                mem_.freeAt(end, *ost.gpuHandle);
-                ost.gpuHandle.reset();
-                ost.status = ost.hasHostCopy ? TensorStatus::Out
-                                             : TensorStatus::Recompute;
-                notePhase(out, ost.hasHostCopy ? "OUT" : "DROPPED", end);
+                dropChunk(out, end);
             } else {
                 scratch.push_back(out);
             }
         }
     }
 
-    release_scratch(at, plan.size());
+    release_from(scratch, at, plan.size());
     ++stats_.recomputedTensors;
     clock_ = std::max(clock_, at);
     return at;
 }
 
-void
-Executor::produceFingerprint(TensorId id, const Operation &op)
+std::uint64_t
+Executor::lineageFingerprint(TensorId id, const Operation &op) const
 {
-    TensorState &st = state(id);
     std::uint64_t fp = hashString(op.name.c_str());
     fp = hashCombine(fp, hashString(graph_.tensor(id).name.c_str()));
     if (op.category == OpCategory::Source) {
@@ -717,8 +696,7 @@ Executor::produceFingerprint(TensorId id, const Operation &op)
     }
     for (TensorId in : op.inputs)
         fp = hashCombine(fp, state(in).fingerprint);
-    st.fingerprint = fp;
-    st.expectedFp = fp;
+    return fp;
 }
 
 void
@@ -734,6 +712,47 @@ Executor::verifyFingerprint(TensorId id, const Operation &op)
     }
 }
 
+Executor::Launch
+Executor::beginLaunch(const Operation &op, Tick at, bool track_clock)
+{
+    pinOperands(op, 1);
+    Launch launch;
+    for (TensorId in : op.inputs) {
+        at = ensureResident(in, at);
+        if (track_clock)
+            clock_ = std::max(clock_, at);
+    }
+    for (TensorId in : op.inputs)
+        verifyFingerprint(in, op);
+    launch.at = at;
+    if (op.fastWorkspaceBytes > 0) {
+        launch.ws = mem_.allocate(at, op.fastWorkspaceBytes);
+        if (!launch.ws) {
+            launch.fast = false;
+            ++stats_.fallbackKernels;
+        }
+    }
+    return launch;
+}
+
+void
+Executor::pinOperands(const Operation &op, int delta)
+{
+    for (TensorId in : op.inputs)
+        state(in).pinCount += delta;
+    for (TensorId out : op.outputs)
+        state(out).pinCount += delta;
+}
+
+Tick
+Executor::kernelDuration(const Operation &op, bool fast)
+{
+    Tick dur = cost_.opDuration(op, fast);
+    if (faults_.enabled())
+        dur = faults_.jitterKernel(dur);
+    return dur;
+}
+
 void
 Executor::runOp(OpId id)
 {
@@ -742,40 +761,17 @@ Executor::runOp(OpId id)
 
     Tick t = std::max(compute_.busyUntil(), computeBarrier_);
     if (config_.eagerMode) {
-        hostClock_ = std::max(hostClock_, t > config_.eagerHostOverhead
-                                              ? t - config_.eagerHostOverhead
+        hostClock_ = std::max(hostClock_, t > kEagerHostOverhead
+                                              ? t - kEagerHostOverhead
                                               : 0);
-        hostClock_ += config_.eagerHostOverhead;
+        hostClock_ += kEagerHostOverhead;
         t = std::max(t, hostClock_);
     }
     clock_ = std::max(clock_, t);
 
-    for (TensorId in : op.inputs)
-        ++state(in).pinCount;
-    for (TensorId out : op.outputs)
-        ++state(out).pinCount;
-
-    // (1) Inputs resident.
-    for (TensorId in : op.inputs) {
-        t = ensureResident(in, t);
-        clock_ = std::max(clock_, t);
-    }
-    if (config_.checkFingerprints) {
-        for (TensorId in : op.inputs)
-            verifyFingerprint(in, op);
-    }
-
-    // (2) Workspace: fast algorithm if scratch fits right now, else the
-    // slower no-workspace fallback (cuDNN under a workspace limit).
-    bool fast = true;
-    std::optional<MemHandle> ws;
-    if (op.fastWorkspaceBytes > 0) {
-        ws = mem_.allocate(t, op.fastWorkspaceBytes);
-        if (!ws) {
-            fast = false;
-            ++stats_.fallbackKernels;
-        }
-    }
+    // (1) Inputs resident; (2) workspace.
+    Launch launch = beginLaunch(op, t, true);
+    t = launch.at;
 
     // (3) Outputs. Graph mode forwards the input buffer to outputs[0] when
     // the op is in-place-eligible and this is the input's last use
@@ -800,7 +796,6 @@ Executor::runOp(OpId id)
             ist.gpuHandle.reset();
             ost.status = TensorStatus::In;
             ost.swapInReady = 0;
-            ost.produced = true;
             ost.remainingUses = usesPerIteration_[out0];
             aliased = true;
             ++stats_.inplaceForwards;
@@ -814,25 +809,22 @@ Executor::runOp(OpId id)
         TensorId out = op.outputs[oi];
         TensorState &st = state(out);
         if (st.gpuHandle) {
-            panic("output {} already allocated (status {}, produced {}, "
-                  "uses {}, hostcopy {})",
+            panic("output {} already allocated (status {}, uses {}, host "
+                  "handle {})",
                   graph_.tensor(out).name, tensorStatusName(st.status),
-                  st.produced, st.remainingUses, st.hasHostCopy);
+                  st.remainingUses, st.hostHandle);
         }
         MemHandle h = allocateOrDie(t, allocBytes(out),
                                     graph_.tensor(out).name, out);
         st.gpuHandle = h;
         st.status = TensorStatus::In;
         st.swapInReady = 0;
-        st.produced = true;
         st.remainingUses = usesPerIteration_[out];
         notePhase(out, "IN", t);
     }
 
     // (4) Kernel.
-    Tick dur = cost_.opDuration(op, fast);
-    if (faults_.enabled())
-        dur = faults_.jitterKernel(dur);
+    Tick dur = kernelDuration(op, launch.fast);
     Tick end = compute_.enqueue(t, dur, op.name, obs::EventKind::Kernel, -1,
                                 static_cast<std::int64_t>(id));
     Tick start = end - dur;
@@ -841,18 +833,15 @@ Executor::runOp(OpId id)
     clock_ = std::max(clock_, start);
 
     // (5) Fingerprints + weight versioning.
-    for (TensorId out : op.outputs)
-        produceFingerprint(out, op);
+    for (TensorId out : op.outputs) {
+        TensorState &ost = state(out);
+        ost.fingerprint = lineageFingerprint(out, op);
+        ost.expectedFp = ost.fingerprint;
+    }
     if (op.category == OpCategory::Update) {
         for (TensorId in : op.inputs) {
-            if (graph_.tensor(in).kind == TensorKind::Weight) {
-                TensorState &wst = state(in);
-                ++wst.weightVersion;
-                wst.fingerprint = hashCombine(
-                    hashString(graph_.tensor(in).name.c_str()),
-                    static_cast<std::uint64_t>(wst.weightVersion));
-                wst.expectedFp = wst.fingerprint;
-            }
+            if (graph_.tensor(in).kind == TensorKind::Weight)
+                setWeightVersion(in, state(in).weightVersion + 1);
         }
     }
 
@@ -862,14 +851,11 @@ Executor::runOp(OpId id)
     for (TensorId out : op.outputs)
         recordAccess(out, end, true, id);
 
-    if (ws)
-        mem_.freeAt(end, *ws);
+    if (launch.ws)
+        mem_.freeAt(end, *launch.ws);
 
     // (7) Refcounts; release tensors with no scheduled uses left.
-    for (TensorId in : op.inputs)
-        --state(in).pinCount;
-    for (TensorId out : op.outputs)
-        --state(out).pinCount;
+    pinOperands(op, -1);
     for (TensorId in : op.inputs) {
         TensorState &st = state(in);
         if (graph_.tensor(in).kind == TensorKind::Weight)
@@ -944,15 +930,31 @@ Executor::releaseIfDead(TensorId id, Tick at)
         mem_.freeAt(when, *st.gpuHandle);
         st.gpuHandle.reset();
     }
-    if (st.hasHostCopy) {
-        noteRetired(id);
-        mem_.host().deallocate(st.hostHandle);
-        st.hasHostCopy = false;
-        st.hostHandle = 0;
-    }
+    retireHostCopy(id);
     closePhase(id, at);
     st.status = TensorStatus::Out;
-    st.produced = false;
+}
+
+void
+Executor::retireHostCopy(TensorId id)
+{
+    TensorState &st = state(id);
+    if (st.hostHandle == 0)
+        return;
+    noteOutEnd(id, "tensor.retired_host_bytes");
+    mem_.host().deallocate(st.hostHandle);
+    st.hostHandle = 0;
+}
+
+void
+Executor::dropChunk(TensorId id, Tick when)
+{
+    TensorState &st = state(id);
+    mem_.freeAt(when, *st.gpuHandle);
+    st.gpuHandle.reset();
+    st.status = st.hostHandle != 0 ? TensorStatus::Out
+                                   : TensorStatus::Recompute;
+    notePhase(id, st.hostHandle != 0 ? "OUT" : "DROPPED", when);
 }
 
 // --- observability helpers (pure observers: never touch simulated time) ---
@@ -1002,23 +1004,13 @@ Executor::noteOut(TensorId id)
 }
 
 void
-Executor::noteIn(TensorId id)
+Executor::noteOutEnd(TensorId id, std::string_view metric)
 {
     TensorState &st = state(id);
     if (!st.outWithHost)
         return;
     st.outWithHost = false;
-    obs_.metrics.add("tensor.in_bytes", allocBytes(id));
-}
-
-void
-Executor::noteRetired(TensorId id)
-{
-    TensorState &st = state(id);
-    if (!st.outWithHost)
-        return;
-    st.outWithHost = false;
-    obs_.metrics.add("tensor.retired_host_bytes", allocBytes(id));
+    obs_.metrics.add(metric, allocBytes(id));
 }
 
 void
@@ -1105,14 +1097,9 @@ Executor::replayBumpWeight(TensorId id, int bumps)
 {
     if (bumps <= 0)
         return;
-    TensorState &st = state(id);
-    st.weightVersion += bumps;
-    // Same recompute runOp's Update handling performs: the fingerprint
-    // depends only on the final version, not on the bump-by-bump path.
-    st.fingerprint =
-        hashCombine(hashString(graph_.tensor(id).name.c_str()),
-                    static_cast<std::uint64_t>(st.weightVersion));
-    st.expectedFp = st.fingerprint;
+    // The fingerprint depends only on the final version, not on the
+    // bump-by-bump path runOp's Update handling takes.
+    setWeightVersion(id, state(id).weightVersion + bumps);
 }
 
 void
@@ -1151,14 +1138,6 @@ Executor::accessCount(TensorId id) const
 }
 
 bool
-Executor::isResident(TensorId id) const
-{
-    TensorStatus s = status(id);
-    return s == TensorStatus::In || s == TensorStatus::SwappingOut ||
-           s == TensorStatus::SwappingIn;
-}
-
-bool
 Executor::isPinned(TensorId id) const
 {
     return state(id).pinCount > 0;
@@ -1168,12 +1147,6 @@ std::uint64_t
 Executor::tensorBytes(TensorId id) const
 {
     return allocBytes(id);
-}
-
-std::uint64_t
-Executor::freeGpuBytes() const
-{
-    return mem_.gpu().bytesFree();
 }
 
 std::uint64_t
@@ -1195,14 +1168,12 @@ Executor::canAllocateNow(std::uint64_t bytes)
 }
 
 bool
-Executor::regenCheck(TensorId id, bool accept_transient)
+Executor::canRegenerateStably(TensorId id)
 {
     // Mirror of recomputeTensor()'s plan DFS, but total: false instead of
     // panic on a dead end. A tensor counts as regenerable if a replay can
-    // reach acceptable sources through recomputable ops, treating `id`
-    // itself as absent. With accept_transient, merely-resident feature
-    // maps count as sources (they may be freed later); without it only
-    // weights and host copies do.
+    // reach weights and host copies through recomputable ops, treating
+    // `id` itself as absent.
     std::vector<TensorId> stack;
     stack.reserve(32);
     std::vector<bool> visited(graph_.numTensors(), false);
@@ -1211,24 +1182,17 @@ Executor::regenCheck(TensorId id, bool accept_transient)
     while (!stack.empty()) {
         TensorId tid = stack.back();
         stack.pop_back();
-        TensorState &st = state(tid);
-        TensorStatus s = effectiveStatus(st, clock_);
+        const TensorState &st = state(tid);
         if (tid != id) {
             if (graph_.tensor(tid).kind == TensorKind::Weight)
                 continue;
             // A host copy survives until its tensor's last scheduled use
             // (refcount death frees it). It is a durable replay source
             // only if that death comes no earlier than the last point at
-            // which `id` could replay — its own last use. With
-            // accept_transient any host copy counts.
-            if (st.hasHostCopy &&
-                (accept_transient || lastUsePos_[tid] >= lastUsePos_[id]))
+            // which `id` could replay — its own last use.
+            if (st.hostHandle != 0 && lastUsePos_[tid] >= lastUsePos_[id])
                 continue;
-            if (accept_transient &&
-                (s == TensorStatus::In || s == TensorStatus::SwappingOut ||
-                 s == TensorStatus::SwappingIn))
-                continue; // resident source (for now)
-        } else if (st.hasHostCopy) {
+        } else if (st.hostHandle != 0) {
             return true; // regenerates by swap-in regardless of lineage
         }
         OpId prod = graph_.tensor(tid).producer;
@@ -1242,18 +1206,6 @@ Executor::regenCheck(TensorId id, bool accept_transient)
         }
     }
     return true;
-}
-
-bool
-Executor::canRegenerate(TensorId id)
-{
-    return regenCheck(id, true);
-}
-
-bool
-Executor::canRegenerateStably(TensorId id)
-{
-    return regenCheck(id, false);
 }
 
 std::vector<TensorId>
@@ -1342,13 +1294,13 @@ Executor::memStallSoFar() const
     return stats_.inputStall + stats_.allocStall;
 }
 
-Tick
-Executor::nominalOpDuration(OpId id) const
-{
-    return cost_.opDuration(graph_.op(id), true);
-}
-
 // --- ExecContext actions ---
+
+Tick
+Executor::opRetireTick() const
+{
+    return std::max(clock_, currentOp_ != kInvalidOp ? currentOpEnd_ : clock_);
+}
 
 std::uint64_t
 Executor::hostStage(TensorId id, std::uint64_t wire_bytes)
@@ -1375,11 +1327,10 @@ Executor::hostStage(TensorId id, std::uint64_t wire_bytes)
     return h;
 }
 
-bool
+void
 Executor::swapToDropFallback(TensorId id)
 {
-    TensorState &st = state(id);
-    if (!st.hasHostCopy && !canRegenerateStably(id)) {
+    if (!canRegenerateStably(id)) {
         // Nothing safe to do: the tensor stays resident; passive mode will
         // look for another victim.
         ++faults_.stats().swapSkips;
@@ -1388,7 +1339,7 @@ Executor::swapToDropFallback(TensorId id)
                             "recovery.swap-skipped:" + graph_.tensor(id).name,
                             static_cast<std::int64_t>(id));
         obs_.metrics.add("recovery.swap_skipped");
-        return false;
+        return;
     }
     ++faults_.stats().dropFallbacks;
     obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
@@ -1397,79 +1348,75 @@ Executor::swapToDropFallback(TensorId id)
                         static_cast<std::int64_t>(id));
     obs_.metrics.add("recovery.drop_fallbacks");
     evictDrop(id);
-    return !st.gpuHandle;
 }
 
-void
-Executor::evictSwapAsync(TensorId id)
+bool
+Executor::swapOut(TensorId id, bool on_demand)
 {
     TensorState &st = state(id);
     if (effectiveStatus(st, clock_) != TensorStatus::In || !st.gpuHandle)
-        return;
-    if (graph_.tensor(id).kind == TensorKind::Weight)
-        panic("policy tried to evict weight {}", graph_.tensor(id).name);
-
-    std::uint64_t bytes = allocBytes(id);
+        return false;
+    // A decoupled copy waits for the evicting access's kernel to retire;
+    // an on-demand one occupies the critical path now.
+    Tick ready = on_demand ? clock_ : opRetireTick();
     // Clean victim: a host copy staged earlier this iteration is still
     // current (tensors are write-once between productions), so the device
     // chunk is a replica and the writeback is elided — free it once the
-    // evicting kernel retires and any in-flight fill completes. Copying
+    // copy could have started and any in-flight fill completes. Copying
     // clean data back out would also leave the D2H unordered against the
     // swap-in that filled the buffer when no access consumed it.
-    if (st.hasHostCopy) {
-        Tick ready = std::max(clock_, currentOp_ != kInvalidOp
-                                          ? currentOpEnd_
-                                          : clock_);
+    if (st.hostHandle != 0) {
         Tick when = std::max(ready, st.swapInReady);
         mem_.freeAt(when, *st.gpuHandle);
         st.gpuHandle.reset();
         st.status = TensorStatus::Out;
         ++stats_.elidedWritebacks;
+        if (on_demand)
+            ++stats_.oomEvictions;
         obs_.metrics.add("swap.writeback_elided");
         noteOut(id);
         notePhase(id, "OUT", when);
-        return;
+        return true;
     }
     // Stage the pinned host destination before touching PCIe: staging
-    // consumes no simulated time, and a failure here must degrade to
-    // drop-for-recompute instead of aborting the run.
-    bool fresh_host = false;
-    if (!st.hasHostCopy) {
-        st.hostHandle = hostStage(id, wireBytes(bytes));
-        if (st.hostHandle == 0) {
-            swapToDropFallback(id);
-            return;
-        }
-        st.hasHostCopy = true;
-        fresh_host = true;
+    // consumes no simulated time, and a failure must not abort the run.
+    std::uint64_t bytes = allocBytes(id);
+    std::optional<Tick> done;
+    st.hostHandle = hostStage(id, wireBytes(bytes));
+    if (st.hostHandle != 0) {
+        done = pcie_.tryTransfer(
+            CopyDir::DeviceToHost, wireBytes(bytes), ready,
+            (on_demand ? "oom-swapout:" : "swapout:") + graph_.tensor(id).name,
+            static_cast<std::int64_t>(id));
+        if (!done)
+            retireHostCopy(id); // retries exhausted
     }
-    // The evicting access's kernel must retire before the copy may start.
-    Tick ready = std::max(clock_, currentOp_ != kInvalidOp ? currentOpEnd_
-                                                           : clock_);
-    auto done = pcie_.tryTransfer(CopyDir::DeviceToHost, wireBytes(bytes),
-                                  ready,
-                                  "swapout:" + graph_.tensor(id).name,
-                                  static_cast<std::int64_t>(id));
     if (!done) {
-        // Retries exhausted: release the staging we just reserved and
-        // degrade. Pre-existing host copies stay valid.
-        if (fresh_host) {
-            mem_.host().deallocate(st.hostHandle);
-            st.hostHandle = 0;
-            st.hasHostCopy = false;
-        }
-        swapToDropFallback(id);
-        return;
+        if (!on_demand) // passive mode picks another disposal itself
+            swapToDropFallback(id);
+        return false;
     }
+    st.hostFp = st.fingerprint;
     mem_.freeAt(*done, *st.gpuHandle);
     st.gpuHandle.reset();
     st.status = TensorStatus::SwappingOut;
     st.swapOutDone = *done;
     ++stats_.swapOutCount;
+    if (on_demand)
+        ++stats_.oomEvictions;
     stats_.swapOutBytes += bytes;
     noteOut(id);
     notePhase(id, "SWAPPING_OUT", pcie_.lastStart(CopyDir::DeviceToHost));
     notePhase(id, "OUT", *done);
+    return true;
+}
+
+void
+Executor::evictSwapAsync(TensorId id)
+{
+    if (graph_.tensor(id).kind == TensorKind::Weight)
+        panic("policy tried to evict weight {}", graph_.tensor(id).name);
+    swapOut(id, false);
 }
 
 Tick
@@ -1490,60 +1437,10 @@ Executor::evictSwapBlocking(TensorId id)
 bool
 Executor::evictSwapSync(TensorId id)
 {
-    TensorState &st = state(id);
-    if (st.pinCount > 0)
+    if (state(id).pinCount > 0 ||
+        graph_.tensor(id).kind == TensorKind::Weight)
         return false;
-    if (graph_.tensor(id).kind == TensorKind::Weight)
-        return false;
-    if (effectiveStatus(st, clock_) != TensorStatus::In || !st.gpuHandle)
-        return false;
-
-    std::uint64_t bytes = allocBytes(id);
-    // Clean victim (see evictSwapAsync): the surviving host copy makes the
-    // writeback redundant; just free the device chunk.
-    if (st.hasHostCopy) {
-        Tick when = std::max(clock_, st.swapInReady);
-        mem_.freeAt(when, *st.gpuHandle);
-        st.gpuHandle.reset();
-        st.status = TensorStatus::Out;
-        ++stats_.elidedWritebacks;
-        ++stats_.oomEvictions;
-        obs_.metrics.add("swap.writeback_elided");
-        noteOut(id);
-        notePhase(id, "OUT", when);
-        return true;
-    }
-    bool fresh_host = false;
-    if (!st.hasHostCopy) {
-        st.hostHandle = hostStage(id, wireBytes(bytes));
-        if (st.hostHandle == 0)
-            return false; // caller (passive mode) picks another disposal
-        st.hasHostCopy = true;
-        fresh_host = true;
-    }
-    auto done = pcie_.tryTransfer(CopyDir::DeviceToHost, wireBytes(bytes),
-                                  clock_,
-                                  "oom-swapout:" + graph_.tensor(id).name,
-                                  static_cast<std::int64_t>(id));
-    if (!done) {
-        if (fresh_host) {
-            mem_.host().deallocate(st.hostHandle);
-            st.hostHandle = 0;
-            st.hasHostCopy = false;
-        }
-        return false;
-    }
-    mem_.freeAt(*done, *st.gpuHandle);
-    st.gpuHandle.reset();
-    st.status = TensorStatus::SwappingOut;
-    st.swapOutDone = *done;
-    ++stats_.swapOutCount;
-    ++stats_.oomEvictions;
-    stats_.swapOutBytes += bytes;
-    noteOut(id);
-    notePhase(id, "SWAPPING_OUT", pcie_.lastStart(CopyDir::DeviceToHost));
-    notePhase(id, "OUT", *done);
-    return true;
+    return swapOut(id, true);
 }
 
 void
@@ -1559,22 +1456,15 @@ Executor::evictDrop(TensorId id)
     // back on. Policies should not request these; the action stays safe
     // regardless.
     OpId producer = graph_.tensor(id).producer;
-    if (!st.hasHostCopy &&
+    if (st.hostHandle == 0 &&
         (producer == kInvalidOp || !graph_.op(producer).recomputable)) {
         return;
     }
-    Tick when = std::max(clock_, currentOp_ != kInvalidOp ? currentOpEnd_
-                                                          : clock_);
-    mem_.freeAt(when, *st.gpuHandle);
-    st.gpuHandle.reset();
-    // A tensor with a surviving host copy regenerates by swap-in; only
-    // host-copy-less drops take the recomputation path.
-    st.status = st.hasHostCopy ? TensorStatus::Out : TensorStatus::Recompute;
     ++stats_.droppedTensors;
     stats_.droppedBytes += allocBytes(id);
-    if (st.hasHostCopy)
+    if (st.hostHandle != 0)
         noteOut(id);
-    notePhase(id, st.hasHostCopy ? "OUT" : "DROPPED", when);
+    dropChunk(id, opRetireTick());
 }
 
 void
@@ -1590,10 +1480,9 @@ Executor::prefetchAsync(TensorId id)
     } else if (s != TensorStatus::Out) {
         return; // already resident / being fetched / recompute-managed
     }
-    if (!st.hasHostCopy)
+    if (st.hostHandle == 0)
         return;
-    std::uint64_t bytes = allocBytes(id);
-    auto h = mem_.allocate(clock_, bytes);
+    auto h = mem_.allocate(clock_, allocBytes(id));
     if (!h) {
         // Peak-memory window: degrade to on-demand at the back access
         // (passive-mode safety net).
@@ -1606,19 +1495,10 @@ Executor::prefetchAsync(TensorId id)
                             static_cast<std::int64_t>(id));
         return;
     }
-    Tick done = pcie_.transfer(CopyDir::HostToDevice, wireBytes(bytes),
-                               ready,
-                               "prefetch:" + graph_.tensor(id).name,
-                               static_cast<std::int64_t>(id));
-    st.gpuHandle = *h;
+    Tick done = swapIn(id, *h, ready, "prefetch:");
     st.status = TensorStatus::SwappingIn;
-    st.swapInReady = done;
-    ++stats_.swapInCount;
-    stats_.swapInBytes += bytes;
     stats_.prefetchBusy += done - pcie_.lastStart(CopyDir::HostToDevice);
-    noteIn(id);
     obs_.metrics.add("prefetch.count");
-    notePhase(id, "SWAPPING_IN", pcie_.lastStart(CopyDir::HostToDevice));
 }
 
 } // namespace capu

@@ -18,9 +18,11 @@
  *
  * Data integrity is checked with lineage fingerprints: every tensor carries
  * a 64-bit value deterministically derived from (producer op, inputs,
- * weight versions, iteration); swap must preserve it, recomputation must
- * regenerate it, and every consumption asserts it — a zero-numerics oracle
- * that swapped/recomputed data is the right data.
+ * weight versions, iteration). Production records the expected value; a
+ * swap carries the fingerprint with the host copy and a recompute derives
+ * it afresh from the replayed inputs; every consumption asserts the data's
+ * fingerprint equals the recorded one — a zero-numerics oracle that
+ * swapped/recomputed data is the right data.
  *
  * The ordering constraints the executor honours between accesses,
  * transfers, frees and allocs are spelled out as explicit happens-before
@@ -150,31 +152,14 @@ struct ExecConfig
     /** Imperative (eager) execution: sequential host, no graph opts. */
     bool eagerMode = false;
 
-    /** Host-side dispatch cost per op in eager mode (Python interpreter). */
-    Tick eagerHostOverhead = ticksFromUs(30);
-
-    /**
-     * Eager activations are allocated with this slack factor: graph mode's
-     * buffer forwarding, pruning and fusion shrink the activation footprint
-     * relative to op-by-op execution (paper §6.4.1: ResNet-50 fits 190 in
-     * graph mode but only 122 eagerly).
-     */
-    double eagerActivationSlack = 1.5;
-
     /** Keep recompute intermediates that are themselves targets (§5.3). */
     bool collectiveRecompute = true;
-
-    /** Verify lineage fingerprints on every consumption. */
-    bool checkFingerprints = true;
 
     /** Observability: off, metrics-only, or metrics + event tracing. */
     obs::ObsLevel obsLevel = obs::ObsLevel::Off;
 
     /** Event ring capacity when tracing (oldest events drop on wrap). */
     std::size_t obsRingCapacity = obs::Tracer::kDefaultCapacity;
-
-    /** Pinned host staging capacity (the testbed had 256 GB). */
-    std::uint64_t hostPoolBytes = 256ull << 30;
 
     /** GPU allocator anti-fragmentation features (ablation bench). */
     BfcOptions allocator;
@@ -268,17 +253,20 @@ struct IterationStats
 struct TensorState
 {
     TensorStatus status = TensorStatus::Out;
-    bool produced = false;
     std::optional<MemHandle> gpuHandle;
-    std::uint64_t hostHandle = 0; ///< nonzero while a host copy exists
-    bool hasHostCopy = false;
+    /** Host copy; 0 = none (host-pool handles start at 1). */
+    std::uint64_t hostHandle = 0;
     Tick swapInReady = 0;
     Tick swapOutDone = 0;
     int remainingUses = 0;
     int accessCount = 0;
     int pinCount = 0;
+    /** Lineage fingerprint of the data the device buffer holds. */
     std::uint64_t fingerprint = 0;
+    /** Fingerprint recorded at production; consumers check against it. */
     std::uint64_t expectedFp = 0;
+    /** Fingerprint of the data in the host copy (restored on swap-in). */
+    std::uint64_t hostFp = 0;
     int weightVersion = 0;
 
     /** Open residency-phase span ("IN", "OUT", ...); tracing only. */
@@ -345,23 +333,19 @@ class Executor : public ExecContext
     int iteration() const override { return iteration_; }
     TensorStatus status(TensorId id) const override;
     int accessCount(TensorId id) const override;
-    bool isResident(TensorId id) const override;
     bool isPinned(TensorId id) const override;
     std::uint64_t tensorBytes(TensorId id) const override;
-    std::uint64_t freeGpuBytes() const override;
     std::uint64_t gpuCapacity() const override;
     std::uint64_t hostCapacity() const override;
     bool canAllocateNow(std::uint64_t bytes) override;
     std::vector<TensorId> victimsForContiguous(std::uint64_t bytes) override;
-    bool canRegenerate(TensorId id) override;
     bool canRegenerateStably(TensorId id) override;
     Tick swapTime(std::uint64_t bytes) const override;
     Tick memStallSoFar() const override;
-    const CostModel &costModel() const override { return cost_; }
     Tick now() const override { return clock_; }
     std::uint64_t shapeClass() const override { return activeVariant_; }
     obs::Obs &obs() override { return obs_; }
-    faults::FaultEngine *faults() override { return &faults_; }
+    faults::FaultEngine &faults() override { return faults_; }
 
     // --- ExecContext actions ---
     void evictSwapAsync(TensorId id) override;
@@ -374,12 +358,8 @@ class Executor : public ExecContext
     Stream &computeStream() { return compute_; }
     PcieLink &pcie() { return pcie_; }
     MemoryManager &memory() { return mem_; }
-    faults::FaultEngine &faultEngine() { return faults_; }
     const TensorState &tensorState(TensorId id) const;
     const ExecConfig &config() const { return config_; }
-
-    /** Duration the cost model assigns to `op` with its preferred algo. */
-    Tick nominalOpDuration(OpId id) const;
 
     // --- capureplay hooks (exec/replay.hh drives these) ---
 
@@ -480,6 +460,9 @@ class Executor : public ExecContext
     /** OOM post-mortem snapshot for the current op / `tensor`. */
     OomContext oomContext(TensorId tensor) const;
 
+    /** Retirement of the current op's kernel (the evicting access). */
+    Tick opRetireTick() const;
+
     /**
      * Reserve `wire_bytes` of pinned host staging for `id`, consulting the
      * fault engine's transient-failure injection first. Returns the host
@@ -488,12 +471,31 @@ class Executor : public ExecContext
     std::uint64_t hostStage(TensorId id, std::uint64_t wire_bytes);
 
     /**
-     * Degradation fallback when a swap-out cannot complete (host staging
-     * failed or transfer retries exhausted): drop-for-recompute when that
-     * is stably safe, otherwise leave the tensor resident. Returns true
-     * if the tensor was disposed of (dropped).
+     * Degradation fallback when a decoupled swap-out cannot complete (host
+     * staging failed or transfer retries exhausted): drop-for-recompute
+     * when that is stably safe, otherwise leave the tensor resident.
      */
-    bool swapToDropFallback(TensorId id);
+    void swapToDropFallback(TensorId id);
+
+    /**
+     * The D2H swap-out behind every eviction entry point. Decoupled, the
+     * copy starts when the evicting op retires and a failure degrades to
+     * swapToDropFallback; `on_demand` (passive mode's OOM handler), it
+     * starts now, counts as an OOM eviction, and a failure is left to the
+     * caller. Returns whether the device chunk was released.
+     */
+    bool swapOut(TensorId id, bool on_demand);
+
+    /** H2D fill of `id`'s host copy into `h`; returns its completion. */
+    Tick swapIn(TensorId id, MemHandle h, Tick ready, const char *label);
+
+    /** Charge a back access of `id` that waited `stall` ticks from `from`. */
+    void noteStall(TensorId id, Tick from, Tick stall);
+
+    /** Free `id`'s chunk at `when`; swap-in or replay regenerates it. */
+    void dropChunk(TensorId id, Tick when);
+
+    void retireHostCopy(TensorId id);
 
     /** Make `id` resident at time `at`; returns the ready tick. */
     Tick ensureResident(TensorId id, Tick at);
@@ -501,7 +503,26 @@ class Executor : public ExecContext
     /** Replay lineage to regenerate `id`; returns completion tick. */
     Tick recomputeTensor(TensorId id, Tick at);
 
-    bool regenCheck(TensorId id, bool accept_transient);
+    struct Launch
+    {
+        Tick at = 0;                 ///< inputs resident: kernel may start
+        bool fast = true;            ///< fast algorithm (its workspace fit)
+        std::optional<MemHandle> ws; ///< the fast algorithm's workspace
+    };
+
+    /**
+     * Launch prologue of scheduled ops and recompute replays: pin `op`'s
+     * operands, make its inputs resident from `at` and verify their
+     * fingerprints, then reserve the fast algorithm's workspace or fall
+     * back (cuDNN under a workspace limit). With `track_clock` the master
+     * clock follows each input, so hooks fired by a later input's fetch
+     * see it; a replay advances the clock only when it completes.
+     */
+    Launch beginLaunch(const Operation &op, Tick at, bool track_clock);
+    void pinOperands(const Operation &op, int delta);
+    /** Cost-model duration of `op`, jittered under a fault plan. */
+    Tick kernelDuration(const Operation &op, bool fast);
+
     void runOp(OpId id);
     void recordAccess(TensorId id, Tick when, bool is_output, OpId op);
     void releaseIfDead(TensorId id, Tick at);
@@ -510,13 +531,19 @@ class Executor : public ExecContext
     /** Open residency phase `phase` for `id` at `at` (closes the prior). */
     void notePhase(TensorId id, const char *phase, Tick at);
     void closePhase(TensorId id, Tick at);
-    /** Transition-level swap accounting (tensor.out/in/retired bytes). */
+    /**
+     * Transition-level swap accounting: noteOut counts tensor.out_bytes;
+     * noteOutEnd closes that count as tensor.in_bytes (swap-in) or
+     * tensor.retired_host_bytes (host copy died).
+     */
     void noteOut(TensorId id);
-    void noteIn(TensorId id);
-    void noteRetired(TensorId id);
+    void noteOutEnd(TensorId id, std::string_view metric);
     void feedIterationMetrics();
-    void produceFingerprint(TensorId id, const Operation &op);
+    /** Lineage fingerprint of `op` producing `id` from its inputs' data. */
+    std::uint64_t lineageFingerprint(TensorId id, const Operation &op) const;
     void verifyFingerprint(TensorId id, const Operation &op);
+    /** Set weight `id` to `version`, re-deriving its fingerprint. */
+    void setWeightVersion(TensorId id, int version);
     void setupWeights();
     void beginIterationState();
     void finishIterationState();

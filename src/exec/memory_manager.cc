@@ -60,12 +60,6 @@ MemoryManager::canAllocate(Tick now, std::uint64_t bytes)
     return gpu_.canAllocate(bytes);
 }
 
-std::optional<Tick>
-MemoryManager::nextPendingFree() const
-{
-    return deferred_.nextMaturity();
-}
-
 bool
 MemoryManager::isFreePending(MemHandle handle) const
 {

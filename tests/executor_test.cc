@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "exec/executor.hh"
@@ -39,10 +40,13 @@ class ScriptedPolicy : public MemoryPolicy
     {
         TensorId tensor;
         int accessIndex;
-        enum Kind { SwapOut, Drop, Prefetch } kind;
+        /** SwapOutSync fires once the accessing op retires and unpins. */
+        enum Kind { SwapOut, SwapOutSync, Drop, Prefetch, Call } kind;
         TensorId target = kInvalidTensor; // for Prefetch
+        std::function<void(ExecContext &)> call = {}; // for Call
     };
     std::vector<Action> actions;
+    std::vector<TensorId> pendingSync;
 
     void
     onAccess(ExecContext &ctx, const AccessEvent &ev) override
@@ -52,10 +56,20 @@ class ScriptedPolicy : public MemoryPolicy
                 continue;
             switch (a.kind) {
               case Action::SwapOut: ctx.evictSwapAsync(ev.tensor); break;
+              case Action::SwapOutSync: pendingSync.push_back(ev.tensor); break;
               case Action::Drop: ctx.evictDrop(ev.tensor); break;
               case Action::Prefetch: ctx.prefetchAsync(a.target); break;
+              case Action::Call: a.call(ctx); break;
             }
         }
+    }
+
+    void
+    afterOp(ExecContext &ctx, OpId, Tick) override
+    {
+        for (TensorId t : pendingSync)
+            ctx.evictSwapSync(t);
+        pendingSync.clear();
     }
 };
 
@@ -131,14 +145,73 @@ TEST(Executor, SwapOutAndBackPreservesFingerprint)
     policy->actions.push_back({cg.features[0], 2,
                                ScriptedPolicy::Action::SwapOut,
                                kInvalidTensor});
-    ExecConfig cfg = testConfig(64_MiB);
-    cfg.checkFingerprints = true; // panics on stale data
-    Executor ex(cg.graph, cfg, policy.get());
+    // The executor panics on stale data.
+    Executor ex(cg.graph, testConfig(64_MiB), policy.get());
     ex.setup();
     auto stats = ex.runIteration();
     EXPECT_EQ(stats.swapOutCount, 1);
     EXPECT_EQ(stats.swapInCount, 1);
     EXPECT_GT(stats.swapOutBytes, 0u);
+}
+
+TEST(Executor, CleanVictimElidesWritebackOnBothSwapPaths)
+{
+    // L1:out is read twice in backward (bwd_data and bwd_filter of L2).
+    // Swap it out after its forward read, let the first back access fetch
+    // it, then evict it again: the host copy is still current, so the
+    // second eviction frees the chunk without a D2H copy, whether it is
+    // decoupled or passive mode's on-demand eviction.
+    for (auto kind : {ScriptedPolicy::Action::SwapOut,
+                      ScriptedPolicy::Action::SwapOutSync}) {
+        bool sync = kind == ScriptedPolicy::Action::SwapOutSync;
+        SCOPED_TRACE(sync ? "evictSwapSync" : "evictSwapAsync");
+        ChainGraph cg(6, 1_MiB, 1e6, true);
+        TensorId victim = cg.features[0];
+        ASSERT_EQ(cg.graph.consumers(victim).size(), 3u);
+        auto policy = std::make_unique<ScriptedPolicy>();
+        policy->actions.push_back(
+            {victim, 2, ScriptedPolicy::Action::SwapOut, kInvalidTensor});
+        policy->actions.push_back({victim, 3, kind, kInvalidTensor});
+        Executor ex(cg.graph, testConfig(64_MiB), policy.get());
+        ex.setup();
+        auto stats = ex.runIteration();
+        EXPECT_EQ(stats.elidedWritebacks, 1);
+        EXPECT_EQ(stats.swapOutCount, 1);
+        EXPECT_EQ(stats.swapOutBytes, ex.tensorBytes(victim));
+        EXPECT_EQ(stats.swapInCount, 2);
+        EXPECT_EQ(stats.oomEvictions, sync ? 1 : 0);
+        EXPECT_EQ(ex.pcie().lane(CopyDir::DeviceToHost).busyTime(),
+                  ex.swapTime(ex.tensorBytes(victim)));
+    }
+}
+
+TEST(Executor, RecomputeFromChangedWeightFailsFingerprint)
+{
+    // Drop L3:out after its forward read, then bump the weight L3 reads
+    // before the backward access replays it. The regenerated data is not
+    // the data that was produced, and its consumer must notice.
+    ChainGraph cg(6, 1_MiB, 1e6, true);
+    TensorId dropped = cg.features[2];
+    TensorId weight = cg.graph.op(cg.graph.tensor(dropped).producer).inputs[1];
+    ASSERT_EQ(cg.graph.tensor(weight).kind, TensorKind::Weight);
+    auto policy = std::make_unique<ScriptedPolicy>();
+    policy->actions.push_back(
+        {dropped, 2, ScriptedPolicy::Action::Drop, kInvalidTensor});
+    policy->actions.push_back(
+        {cg.loss, 1, ScriptedPolicy::Action::Call, kInvalidTensor,
+         [weight](ExecContext &ctx) {
+             static_cast<Executor &>(ctx).replayBumpWeight(weight, 1);
+         }});
+    Executor ex(cg.graph, testConfig(64_MiB), policy.get());
+    ex.setup();
+    try {
+        ex.runIteration();
+        ADD_FAILURE() << "stale recompute went unnoticed";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("fingerprint mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Executor, DropAndRecomputeRegeneratesData)
@@ -246,7 +319,6 @@ TEST(Executor, EagerModeIsSlower)
     ExecConfig graph_cfg = testConfig(256_MiB);
     ExecConfig eager_cfg = testConfig(256_MiB);
     eager_cfg.eagerMode = true;
-    eager_cfg.eagerHostOverhead = ticksFromUs(50);
 
     Executor g(cg1.graph, graph_cfg, nullptr);
     g.setup();

@@ -176,7 +176,7 @@ TEST(Chaos, PcieDegradationCompletesAndCounts)
     ChaosRun run(buildModel(ModelKind::Vgg16, 230), cfg, opts);
     auto r = run.session.run(5);
     ASSERT_FALSE(r.oom) << r.oomMessage;
-    const auto &fs = run.session.executor().faultEngine().stats();
+    const auto &fs = run.session.executor().faults().stats();
     EXPECT_GT(fs.degradedTransfers, 0u);
 }
 
@@ -188,7 +188,7 @@ TEST(Chaos, KernelJitterCompletesAndCounts)
     ChaosRun run(buildModel(ModelKind::Vgg16, 230), cfg, opts);
     auto r = run.session.run(5);
     ASSERT_FALSE(r.oom) << r.oomMessage;
-    const auto &fs = run.session.executor().faultEngine().stats();
+    const auto &fs = run.session.executor().faults().stats();
     EXPECT_GT(fs.jitteredKernels, 0u);
 }
 
@@ -200,7 +200,7 @@ TEST(Chaos, SwapFailuresRetryAndComplete)
     ChaosRun run(buildModel(ModelKind::Vgg16, 230), cfg, opts);
     auto r = run.session.run(5);
     ASSERT_FALSE(r.oom) << r.oomMessage;
-    const auto &fs = run.session.executor().faultEngine().stats();
+    const auto &fs = run.session.executor().faults().stats();
     EXPECT_GT(fs.swapAttemptFailures, 0u);
     EXPECT_GT(fs.swapRetries, 0u);
 }
@@ -211,7 +211,7 @@ TEST(Chaos, HostTransientFailuresDegradeToDrop)
     ChaosRun run(buildResNet(400, 50), cfg);
     auto r = run.session.run(5);
     ASSERT_FALSE(r.oom) << r.oomMessage;
-    const auto &fs = run.session.executor().faultEngine().stats();
+    const auto &fs = run.session.executor().faults().stats();
     EXPECT_GT(fs.hostRejects, 0u);
     // Each rejected staging must resolve safely: either degrade to a
     // recompute-eviction (drop) or refuse the swap and keep the tensor
@@ -241,7 +241,7 @@ TEST(Chaos, ExhaustedHostPoolFallsBackToRecompute)
     ChaosRun run(buildResNet(400, 50), cfg);
     auto r = run.session.run(4);
     ASSERT_FALSE(r.oom) << r.oomMessage;
-    const auto &fs = run.session.executor().faultEngine().stats();
+    const auto &fs = run.session.executor().faults().stats();
     EXPECT_GT(fs.hostRejects, 0u);
     EXPECT_GT(fs.dropFallbacks, 0u);
     EXPECT_GT(run.session.executor().memory().host().failedAllocs(), 0u);
@@ -306,7 +306,7 @@ TEST(Feedback, ConvergesUnderPermanentPcieDegradation)
     auto r = run.session.run(12);
     ASSERT_FALSE(r.oom) << r.oomMessage;
     EXPECT_GT(run.policy->feedbackAdjustments(), 0);
-    const auto &fs = run.session.executor().faultEngine().stats();
+    const auto &fs = run.session.executor().faults().stats();
     EXPECT_GT(fs.feedbackShifts, 0u);
     // The loop must settle well below the first guided iteration's stall.
     // Individual late iterations can still spike: the passive safety net
@@ -364,7 +364,7 @@ TEST(Chaos, DriftTriggersRemeasurement)
     auto r = run.session.run(8);
     ASSERT_FALSE(r.oom) << r.oomMessage;
     EXPECT_GT(run.policy->remeasures(), 0);
-    const auto &fs = run.session.executor().faultEngine().stats();
+    const auto &fs = run.session.executor().faults().stats();
     EXPECT_GT(fs.remeasures, 0u);
 }
 

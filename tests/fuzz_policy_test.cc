@@ -7,7 +7,7 @@
  * uphold the system invariants:
  *
  *   - every consumed tensor carries the right lineage fingerprint
- *     (checkFingerprints panics otherwise);
+ *     (the executor panics otherwise);
  *   - iteration results are identical for identical seeds;
  *   - the memory pool returns to exactly the persistent set afterwards;
  *   - the allocator's structural invariants survive the churn.
@@ -111,7 +111,6 @@ TEST_P(FuzzPolicyTest, ChainSurvivesRandomActions)
     ChainGraph cg(24, 512_KiB, 2e7, true);
     ExecConfig cfg;
     cfg.device = GpuDeviceSpec::testDevice(24_MiB);
-    cfg.checkFingerprints = true;
 
     FuzzPolicy policy(GetParam());
     Executor ex(cg.graph, cfg, &policy);
@@ -129,7 +128,6 @@ TEST_P(FuzzPolicyTest, ChainSurvivesRandomActions)
 TEST_P(FuzzPolicyTest, ResNetSurvivesRandomActions)
 {
     ExecConfig cfg;
-    cfg.checkFingerprints = true;
     FuzzPolicy policy(GetParam(), 0.02);
     Graph g = buildResNet(64, 50);
     Executor ex(g, cfg, &policy);

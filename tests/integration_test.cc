@@ -89,8 +89,7 @@ TEST_P(PolicyModelTest, TrainsOversubscribedWithIntegrity)
 {
     auto [kind, pol] = GetParam();
     std::int64_t batch = oversubscribedBatch(kind);
-    ExecConfig cfg;
-    cfg.checkFingerprints = true; // panic on any stale/corrupt tensor
+    ExecConfig cfg; // the executor panics on any stale/corrupt tensor
 
     Graph g = buildModel(kind, batch);
     Session s(std::move(g), cfg, makePolicy(pol));

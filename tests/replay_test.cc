@@ -99,8 +99,9 @@ expectMetricsEqual(const obs::MetricsRegistry &a,
         EXPECT_EQ(value, b.counter(name)) << "counter " << name;
     }
     for (const auto &[name, value] : b.counters()) {
-        if (!synthetic(name))
+        if (!synthetic(name)) {
             EXPECT_EQ(a.counter(name), value) << "counter " << name;
+        }
     }
     for (const auto &[name, value] : a.gauges())
         EXPECT_EQ(value, b.gauge(name)) << "gauge " << name;

@@ -227,8 +227,8 @@ main(int argc, char **argv)
                       << " at tick " << report.peakAt << "\n";
 
         if (opt.hb) {
-            HbAnalysis hb = buildPlanEventGraph(plan, graph, tracker,
-                                                bytes_of, swap_time);
+            HbAnalysis hb =
+                buildPlanEventGraph(plan, tracker, bytes_of, swap_time);
             if (opt.verbose)
                 std::cout << "happens-before: " << hb.events.size()
                           << " events, " << hb.edges.size() << " edges\n";

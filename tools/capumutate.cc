@@ -323,8 +323,8 @@ scanEvents(std::vector<hb::HbEvent> events, const Corpus &c)
 LintReport
 scanKnockout(const Corpus &c, const hb::OrderingRules &rules)
 {
-    HbAnalysis m = buildPlanEventGraph(*c.plan, *c.graph, *c.tracker,
-                                       c.bytesOf, c.swapTime, rules);
+    HbAnalysis m = buildPlanEventGraph(*c.plan, *c.tracker, c.bytesOf,
+                                       c.swapTime, rules);
     return checkHappensBefore(m, c.graph);
 }
 
@@ -849,8 +849,8 @@ main(int argc, char **argv)
         corpus.checkerOpts.hostCapacity = 256ull << 30;
         corpus.checkerOpts.capacitySlack = capacity / 20;
         corpus.checkerOpts.maxRecomputeChain = opt.maxChain;
-        corpus.base = buildPlanEventGraph(plan, graph, tracker, bytes_of,
-                                          swap_time);
+        corpus.base =
+            buildPlanEventGraph(plan, tracker, bytes_of, swap_time);
 
         std::size_t swapItems = 0;
         for (const PlannedEviction &item : plan.items)

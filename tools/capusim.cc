@@ -728,7 +728,7 @@ main(int argc, char **argv)
         }
         if (faults_on) {
             const faults::FaultStats &fs =
-                session->executor().faultEngine().stats();
+                session->executor().faults().stats();
             std::cout << "chaos: degraded_transfers=" << fs.degradedTransfers
                       << " jittered_kernels=" << fs.jitteredKernels
                       << " host_rejects=" << fs.hostRejects
