@@ -55,8 +55,8 @@ main()
     obs::TraceEvent largest;
     bool found = false;
     tracer.forEach([&](const obs::TraceEvent &ev) {
-        if (ev.phase != obs::EventPhase::Complete ||
-            ev.track != obs::kTrackD2H)
+        if (ev.phase() != obs::EventPhase::Complete ||
+            ev.track() != obs::kTrackD2H)
             return;
         if (!found || ev.dur > largest.dur) {
             largest = ev;

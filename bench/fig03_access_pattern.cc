@@ -36,21 +36,19 @@ main()
     }
 
     // Reconstruct per-iteration access timestamps from the trace: the host
-    // track carries an "iter:N" marker at each iteration start followed by
+    // track carries an IterBegin marker at each iteration start followed by
     // one Access instant per tensor touch, all in emission order.
     // tensor -> iteration -> relative access times
     std::map<TensorId, std::map<int, std::vector<Tick>>> log;
     int cur_iter = -1;
     Tick iter_start = 0;
     s.executor().obs().tracer.forEach([&](const obs::TraceEvent &ev) {
-        if (ev.kind == obs::EventKind::Marker &&
-            ev.phase == obs::EventPhase::Instant &&
-            ev.name.rfind("iter:", 0) == 0) {
-            cur_iter = std::stoi(ev.name.substr(5));
+        if (ev.label == obs::Label::IterBegin) {
+            cur_iter = static_cast<int>(ev.number);
             iter_start = ev.ts;
             return;
         }
-        if (ev.kind != obs::EventKind::Access || cur_iter < 0)
+        if (ev.kind() != obs::EventKind::Access || cur_iter < 0)
             return;
         log[static_cast<TensorId>(ev.tensor)][cur_iter].push_back(
             ev.ts - iter_start);

@@ -77,9 +77,7 @@ CapuchinPolicy::beginIteration(ExecContext &ctx)
             if (!cs.novelNoted) {
                 cs.novelNoted = true;
                 o.metrics.add("capu.drift.novel_class");
-                o.tracer.instant(obs::kTrackDrift, obs::EventKind::Decision,
-                                 ctx.now(), "drift.novel",
-                                 static_cast<std::int64_t>(currentClass_));
+                ctx.trace(obs::Label::DriftNovel, currentClass_);
             }
             o.metrics.add("capu.drift.measured_iters");
         }
@@ -154,16 +152,13 @@ CapuchinPolicy::buildPlan(ExecContext &ctx, ClassState &cs, bool audit)
     auto &o = ctx.obs();
     o.metrics.add("plan.builds");
     o.metrics.setCounter("plan.items", cs.plan.items.size());
-    o.tracer.instant(obs::kTrackPolicy, obs::EventKind::Plan, ctx.now(),
-                     "plan.build", -1, -1, cs.plan.plannedBytes);
+    ctx.trace(obs::Label::PlanBuild, -1, cs.plan.plannedBytes);
     if (o.tracing()) {
         for (const auto &item : cs.plan.items) {
             if (item.mode != RegenChoice::Swap ||
                 item.triggerTensor == kInvalidTensor)
                 continue;
-            o.tracer.instant(obs::kTrackPolicy, obs::EventKind::Plan,
-                             ctx.now(), "plan.intrigger",
-                             static_cast<std::int64_t>(item.tensor));
+            ctx.trace(obs::Label::PlanInTrigger, item.tensor);
         }
     }
 
@@ -233,10 +228,8 @@ CapuchinPolicy::onAccess(ExecContext &ctx, const AccessEvent &event)
                                    : cs.prefetchTriggers.end();
     if (pf != cs.prefetchTriggers.end()) {
         for (std::size_t idx : pf->second) {
-            o.tracer.instant(obs::kTrackPolicy, obs::EventKind::Decision,
-                             ctx.now(), "trigger.prefetch",
-                             static_cast<std::int64_t>(
-                                 cs.plan.items[idx].tensor));
+            ctx.trace(obs::Label::TriggerPrefetch,
+                      cs.plan.items[idx].tensor);
             o.metrics.add("trigger.prefetch");
             ctx.prefetchAsync(cs.plan.items[idx].tensor);
         }
@@ -246,10 +239,9 @@ CapuchinPolicy::onAccess(ExecContext &ctx, const AccessEvent &event)
     if (ev != cs.evictTriggers.end()) {
         const PlannedEviction &item = cs.plan.items[ev->second];
         bool swap = item.mode == RegenChoice::Swap;
-        o.tracer.instant(obs::kTrackPolicy, obs::EventKind::Decision,
-                         ctx.now(),
-                         swap ? "trigger.evict.swap" : "trigger.evict.drop",
-                         static_cast<std::int64_t>(item.tensor));
+        ctx.trace(swap ? obs::Label::TriggerSwap
+                       : obs::Label::TriggerDrop,
+                  item.tensor);
         o.metrics.add(swap ? "trigger.evict.swap" : "trigger.evict.drop");
         if (swap)
             ctx.evictSwapAsync(item.tensor);
@@ -307,10 +299,7 @@ CapuchinPolicy::passiveEvict(ExecContext &ctx, ClassState &cs,
     // regenerates by recomputation are simply re-dropped (no transfer, no
     // later swap-in stall); everything else is synchronously swapped.
     auto evict_victim = [&](TensorId id) {
-        ctx.obs().tracer.instant(obs::kTrackPolicy,
-                                 obs::EventKind::Decision, ctx.now(),
-                                 "passive.evict",
-                                 static_cast<std::int64_t>(id));
+        ctx.trace(obs::Label::PassiveEvict, id);
         if (cs.planBuilt) {
             auto it = cs.itemOf.find(id);
             if (it != cs.itemOf.end() &&
@@ -334,10 +323,7 @@ CapuchinPolicy::passiveEvict(ExecContext &ctx, ClassState &cs,
             return false;
         if (!ctx.canRegenerateStably(id))
             return false;
-        ctx.obs().tracer.instant(obs::kTrackRecovery,
-                                 obs::EventKind::Recovery, ctx.now(),
-                                 "recovery.passive-drop",
-                                 static_cast<std::int64_t>(id));
+        ctx.trace(obs::Label::PassiveDrop, id);
         ctx.obs().metrics.add("recovery.drop_fallbacks");
         ctx.evictDrop(id);
         if (ctx.status(id) != TensorStatus::In) {
@@ -370,10 +356,7 @@ CapuchinPolicy::passiveEvict(ExecContext &ctx, ClassState &cs,
             if (ctx.status(item.tensor) != TensorStatus::In ||
                 ctx.isPinned(item.tensor))
                 continue;
-            ctx.obs().tracer.instant(obs::kTrackPolicy,
-                                     obs::EventKind::Decision, ctx.now(),
-                                     "passive.redrop",
-                                     static_cast<std::int64_t>(item.tensor));
+            ctx.trace(obs::Label::PassiveRedrop, item.tensor);
             ctx.evictDrop(item.tensor);
             freed += ctx.tensorBytes(item.tensor);
             ctx.obs().metrics.add("passive.evicted_bytes",
@@ -439,9 +422,7 @@ CapuchinPolicy::onBackAccessStall(ExecContext &ctx, TensorId id, Tick stall)
         static_cast<double>(item.swapTime) * opts_.feedbackDeadband);
     if (stall <= deadband)
         return; // within tolerance: shifting earlier would over-prefetch
-    ctx.obs().tracer.instant(obs::kTrackPolicy, obs::EventKind::Decision,
-                             ctx.now(), "feedback.shift",
-                             static_cast<std::int64_t>(id));
+    ctx.trace(obs::Label::FeedbackShift, id);
     ctx.obs().metrics.add("feedback.adjustments");
     // The tensor was still SWAPPING_IN (or absent) at its back-access:
     // shift the in-trigger earlier by feedbackStep x SwapTime (§4.4).
@@ -498,14 +479,11 @@ CapuchinPolicy::endIteration(ExecContext &ctx, const IterationStats &stats)
         cs.remeasureRequested = true;
         int pct = static_cast<int>(cs.driftAbs / cs.driftBase * 100.0);
         auto &o = ctx.obs();
-        o.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
-                         ctx.now(), "recovery.remeasure");
+        ctx.trace(obs::Label::Remeasure);
         o.metrics.add("plan.remeasures");
         if (ctx.graph().dynamic()) {
             o.metrics.add("capu.drift.remeasures");
-            o.tracer.instant(obs::kTrackDrift, obs::EventKind::Recovery,
-                             ctx.now(), "drift.remeasure",
-                             static_cast<std::int64_t>(currentClass_));
+            ctx.trace(obs::Label::DriftRemeasure, currentClass_);
         }
         ++ctx.faults().stats().remeasures;
         inform("capuchin: plan drift {}% exceeds threshold; re-entering "
@@ -540,9 +518,7 @@ CapuchinPolicy::endIteration(ExecContext &ctx, const IterationStats &stats)
             cs.targetBoost += cs.guidedPassiveBytes;
             cs.guidedPassiveBytes = 0;
             ++cs.replans;
-            ctx.obs().tracer.instant(obs::kTrackPolicy,
-                                     obs::EventKind::Plan, ctx.now(),
-                                     "plan.refine");
+            ctx.trace(obs::Label::PlanRefine);
             ctx.obs().metrics.add("plan.revisions");
             buildPlan(ctx, cs);
             return;
@@ -593,8 +569,7 @@ CapuchinPolicy::onIterationAbort(ExecContext &ctx)
             cs.remeasureRequested = true;
             ++cs.remeasures;
             auto &o = ctx.obs();
-            o.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
-                             ctx.now(), "recovery.passive_fallback");
+            ctx.trace(obs::Label::PassiveFallback);
             o.metrics.add("plan.remeasures");
             inform("capuchin: plan coverage saturated ({} of {}); falling "
                    "back to passive execution",
@@ -608,8 +583,7 @@ CapuchinPolicy::onIterationAbort(ExecContext &ctx)
     cs.guidedPassiveBytes = 0;
     ++cs.replans;
     cs.refinementFrozen = false;
-    ctx.obs().tracer.instant(obs::kTrackPolicy, obs::EventKind::Plan,
-                             ctx.now(), "plan.refine");
+    ctx.trace(obs::Label::PlanRefine);
     ctx.obs().metrics.add("plan.revisions");
     buildPlan(ctx, cs);
     return true;

@@ -133,6 +133,21 @@ getf64(std::istream &is, double &v)
     return true;
 }
 
+/** Serialized size of one PlannedEviction (see serializePlan). */
+constexpr std::uint64_t kItemRecordBytes = 3 * 4 + 12 * 8;
+
+/** Bytes between the read position and the end; 0 if `is` cannot seek. */
+std::uint64_t
+bytesLeft(std::istream &is)
+{
+    std::streampos pos = is.tellg();
+    if (pos < 0 || !is.seekg(0, std::ios::end))
+        return 0;
+    std::streampos end = is.tellg();
+    is.seekg(pos);
+    return end > pos ? static_cast<std::uint64_t>(end - pos) : 0;
+}
+
 } // namespace
 
 std::uint64_t
@@ -307,6 +322,10 @@ loadPlan(std::istream &is, Plan &out, std::uint64_t expect_fingerprint,
         return PlanLoadStatus::Truncated;
     plan.recomputeCount = tmp64;
 
+    // The count is untrusted until the digest checks out: bound it by the
+    // bytes actually present before allocating for it.
+    if (n_items > bytesLeft(is) / kItemRecordBytes)
+        return PlanLoadStatus::Truncated;
     plan.items.reserve(n_items);
     for (std::uint64_t i = 0; i < n_items; ++i) {
         PlannedEviction it;

@@ -298,8 +298,8 @@ Executor::abortIteration()
     computeBarrier_ = clock_;
     currentOp_ = kInvalidOp;
     mem_.gpu().checkInvariants();
-    obs_.tracer.instant(obs::kTrackHost, obs::EventKind::Marker, clock_,
-                        "iter.abort:" + std::to_string(iteration_));
+    obs_.tracer.emit(
+        {.label = obs::Label::IterAbort, .ts = clock_, .number = iteration_});
     obs_.metrics.add("iter.aborts");
 }
 
@@ -325,16 +325,14 @@ Executor::beginIterationState()
     mem_.gpu().resetPeak();
     for (auto &st : states_)
         st.accessCount = 0;
-    if (obs_.tracing())
-        obs_.tracer.instant(obs::kTrackHost, obs::EventKind::Marker,
-                            stats_.begin,
-                            "iter:" + std::to_string(iteration_));
+    obs_.tracer.emit({.label = obs::Label::IterBegin,
+                      .ts = stats_.begin,
+                      .number = iteration_});
     if (graph_.dynamic()) {
-        if (obs_.tracing())
-            obs_.tracer.instant(obs::kTrackDrift, obs::EventKind::Marker,
-                                stats_.begin,
-                                "drift.class:" +
-                                    std::to_string(activeVariant_));
+        obs_.tracer.emit({.label = obs::Label::DriftClass,
+                          .ts = stats_.begin,
+                          .number = static_cast<std::int64_t>(
+                              activeVariant_)});
         // Gauge, not counter: the class index is non-monotonic and counter
         // deltas are unsigned in the replay digest machinery.
         obs_.metrics.set("capu.drift.class",
@@ -372,12 +370,13 @@ Executor::finishIterationState()
     feedIterationMetrics();
     obs_.metrics.snapshotIteration(iteration_);
     if (obs_.tracing()) {
-        obs_.tracer.complete(obs::kTrackHost, obs::EventKind::Marker,
-                             stats_.begin, stats_.duration(),
-                             "iteration:" + std::to_string(iteration_));
+        obs_.tracer.emit({.label = obs::Label::Iteration,
+                          .ts = stats_.begin,
+                          .dur = stats_.duration(),
+                          .number = iteration_});
         // After the marker, so the count covers every record this
         // iteration could have pushed out of the ring.
-        obs_.metrics.setCounter("capu.obs.trace_dropped",
+        obs_.metrics.setCounter(obs::kTraceDroppedCounter,
                                 obs_.tracer.dropped());
     }
     ++iteration_;
@@ -434,9 +433,10 @@ Executor::allocateOrDie(Tick &at, std::uint64_t bytes,
         if (auto h = mem_.allocateWaiting(at, bytes)) {
             stats_.allocStall += at - t0;
             if (at > t0) {
-                obs_.tracer.complete(obs::kTrackHost, obs::EventKind::OomStep,
-                                     t0, at - t0, "oom.wait-free", -1, -1,
-                                     bytes);
+                obs_.tracer.emit({.label = obs::Label::OomWaitFree,
+                                  .ts = t0,
+                                  .dur = at - t0,
+                                  .bytes = bytes});
             }
             clock_ = std::max(clock_, at);
             return *h;
@@ -444,13 +444,14 @@ Executor::allocateOrDie(Tick &at, std::uint64_t bytes,
         at = std::max(at, t0);
         clock_ = std::max(clock_, at);
         if (policy_ && policy_->onAllocFailure(*this, bytes)) {
-            obs_.tracer.instant(obs::kTrackHost, obs::EventKind::OomStep, at,
-                                "oom.policy-assist", -1, -1, bytes);
+            obs_.tracer.emit({.label = obs::Label::OomPolicyAssist,
+                              .ts = at,
+                              .bytes = bytes});
             obs_.metrics.add("oom.policy_assists");
             continue;
         }
-        obs_.tracer.instant(obs::kTrackHost, obs::EventKind::OomStep, at,
-                            "oom.raise", -1, -1, bytes);
+        obs_.tracer.emit(
+            {.label = obs::Label::OomRaise, .ts = at, .bytes = bytes});
         obs_.metrics.add("oom.raises");
         throw OomError(
             fmt("OOM allocating {} for {} (in use {}, largest free {})",
@@ -472,7 +473,7 @@ Executor::ensureResident(TensorId id, Tick at)
             // fully hid. Normalize (the SwappingIn case does the same when
             // the stall is zero) and close the SWAPPING_IN phase.
             st.status = TensorStatus::In;
-            notePhase(id, "IN", st.swapInReady);
+            notePhase(id, obs::Label::PhaseIn, st.swapInReady);
         }
         return at;
       case TensorStatus::SwappingOut:
@@ -487,7 +488,7 @@ Executor::ensureResident(TensorId id, Tick at)
               noteStall(id, at, ready - at);
           }
           st.status = TensorStatus::In;
-          notePhase(id, "IN", ready);
+          notePhase(id, obs::Label::PhaseIn, ready);
           return ready;
       }
 
@@ -500,15 +501,12 @@ Executor::ensureResident(TensorId id, Tick at)
           Tick t0 = at;
           MemHandle h = allocateOrDie(at, allocBytes(id),
                                       graph_.tensor(id).name, id);
-          obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
-                              at,
-                              "recovery.ondemand-swapin:" +
-                                  graph_.tensor(id).name,
-                              static_cast<std::int64_t>(id));
-          Tick done = swapIn(id, h, at, "swapin:");
+          obs_.tracer.emit(
+              {.label = obs::Label::OnDemandSwapIn, .ts = at, .tensor = id});
+          Tick done = swapIn(id, h, at, obs::Label::SwapIn);
           st.status = TensorStatus::In;
           obs_.metrics.add("swap.ondemand_count");
-          notePhase(id, "IN", done);
+          notePhase(id, obs::Label::PhaseIn, done);
           noteStall(id, t0, done - t0);
           return done;
       }
@@ -523,28 +521,27 @@ void
 Executor::noteStall(TensorId id, Tick from, Tick stall)
 {
     stats_.inputStall += stall;
-    obs_.tracer.complete(obs::kTrackHost, obs::EventKind::Stall, from, stall,
-                         "stall:" + graph_.tensor(id).name,
-                         static_cast<std::int64_t>(id));
+    obs_.tracer.emit(
+        {.label = obs::Label::Stall, .ts = from, .dur = stall, .tensor = id});
     if (policy_)
         policy_->onBackAccessStall(*this, id, stall);
 }
 
 Tick
-Executor::swapIn(TensorId id, MemHandle h, Tick ready, const char *label)
+Executor::swapIn(TensorId id, MemHandle h, Tick ready, obs::Label label)
 {
     TensorState &st = state(id);
     std::uint64_t bytes = allocBytes(id);
     Tick done = pcie_.transfer(CopyDir::HostToDevice, wireBytes(bytes), ready,
-                               label + graph_.tensor(id).name,
-                               static_cast<std::int64_t>(id));
+                               label, id);
     st.gpuHandle = h;
     st.swapInReady = done;
     st.fingerprint = st.hostFp;
     ++stats_.swapInCount;
     stats_.swapInBytes += bytes;
     noteOutEnd(id, "tensor.in_bytes");
-    notePhase(id, "SWAPPING_IN", pcie_.lastStart(CopyDir::HostToDevice));
+    notePhase(id, obs::Label::PhaseSwappingIn,
+              pcie_.lastStart(CopyDir::HostToDevice));
     return done;
 }
 
@@ -643,14 +640,13 @@ Executor::recomputeTensor(TensorId target, Tick at)
             ost.gpuHandle = *h;
             ost.status = TensorStatus::In;
             ost.swapInReady = 0;
-            notePhase(out, "IN", at);
+            notePhase(out, obs::Label::PhaseIn, at);
         }
 
         Tick dur = kernelDuration(op, launch.fast);
-        Tick end = compute_.enqueue(at, dur, "recompute:" + op.name,
-                                    obs::EventKind::Recompute,
-                                    static_cast<std::int64_t>(target),
-                                    static_cast<std::int64_t>(plan[p]));
+        Tick end = compute_.enqueue(
+            at, dur,
+            {.label = obs::Label::Recompute, .tensor = target, .op = plan[p]});
         at = end;
         stats_.recomputeBusy += dur;
         ++stats_.recomputeOps;
@@ -800,7 +796,7 @@ Executor::runOp(OpId id)
             aliased = true;
             ++stats_.inplaceForwards;
             closePhase(in0, t);
-            notePhase(out0, "IN", t);
+            notePhase(out0, obs::Label::PhaseIn, t);
         }
     }
     for (std::size_t oi = 0; oi < op.outputs.size(); ++oi) {
@@ -820,13 +816,13 @@ Executor::runOp(OpId id)
         st.status = TensorStatus::In;
         st.swapInReady = 0;
         st.remainingUses = usesPerIteration_[out];
-        notePhase(out, "IN", t);
+        notePhase(out, obs::Label::PhaseIn, t);
     }
 
     // (4) Kernel.
     Tick dur = kernelDuration(op, launch.fast);
-    Tick end = compute_.enqueue(t, dur, op.name, obs::EventKind::Kernel, -1,
-                                static_cast<std::int64_t>(id));
+    Tick end =
+        compute_.enqueue(t, dur, {.label = obs::Label::Kernel, .op = id});
     Tick start = end - dur;
     currentOpEnd_ = end;
     stats_.kernelBusy += dur;
@@ -892,18 +888,12 @@ Executor::recordAccess(TensorId id, Tick when, bool is_output, OpId op)
         h = hashCombine(h, static_cast<std::uint64_t>(op));
         iterAccessHash_ = h;
     }
-    if (obs_.tracing()) {
-        obs::TraceEvent tev;
-        tev.ts = when;
-        tev.track = obs::kTrackHost;
-        tev.phase = obs::EventPhase::Instant;
-        tev.kind = obs::EventKind::Access;
-        tev.tensor = static_cast<std::int64_t>(id);
-        tev.op = static_cast<std::int64_t>(op);
-        tev.value = st.accessCount;
-        tev.name = is_output ? "write" : "read";
-        obs_.tracer.record(std::move(tev));
-    }
+    obs_.tracer.emit({.label = is_output ? obs::Label::Write
+                                         : obs::Label::Read,
+                      .ts = when,
+                      .tensor = id,
+                      .op = op,
+                      .value = static_cast<double>(st.accessCount)});
     if (!policy_)
         return;
     AccessEvent ev;
@@ -954,13 +944,16 @@ Executor::dropChunk(TensorId id, Tick when)
     st.gpuHandle.reset();
     st.status = st.hostHandle != 0 ? TensorStatus::Out
                                    : TensorStatus::Recompute;
-    notePhase(id, st.hostHandle != 0 ? "OUT" : "DROPPED", when);
+    notePhase(id,
+              st.hostHandle != 0 ? obs::Label::PhaseOut
+                                 : obs::Label::PhaseDropped,
+              when);
 }
 
 // --- observability helpers (pure observers: never touch simulated time) ---
 
 void
-Executor::notePhase(TensorId id, const char *phase, Tick at)
+Executor::notePhase(TensorId id, obs::Label phase, Tick at)
 {
     if (!obs_.tracing())
         return;
@@ -972,10 +965,8 @@ Executor::notePhase(TensorId id, const char *phase, Tick at)
     closePhase(id, at);
     st.obsPhase = phase;
     st.obsPhaseAt = at;
-    obs_.tracer.spanBegin(obs::EventKind::Lifetime,
-                          static_cast<std::int64_t>(id), at,
-                          graph_.tensor(id).name + ":" + phase,
-                          allocBytes(id));
+    obs_.tracer.emit(
+        {.label = phase, .ts = at, .tensor = id, .bytes = allocBytes(id)});
 }
 
 void
@@ -986,11 +977,11 @@ Executor::closePhase(TensorId id, Tick at)
     TensorState &st = state(id);
     if (!st.obsPhase)
         return;
-    obs_.tracer.spanEnd(obs::EventKind::Lifetime,
-                        static_cast<std::int64_t>(id),
-                        std::max(at, st.obsPhaseAt),
-                        graph_.tensor(id).name + ":" + st.obsPhase);
-    st.obsPhase = nullptr;
+    obs_.tracer.emit({.label = *st.obsPhase,
+                      .ts = std::max(at, st.obsPhaseAt),
+                      .tensor = id,
+                      .closes = true});
+    st.obsPhase.reset();
 }
 
 void
@@ -1307,9 +1298,7 @@ Executor::hostStage(TensorId id, std::uint64_t wire_bytes)
 {
     if (faults_.enabled() && faults_.hostTransientFail()) {
         ++faults_.stats().hostRejects;
-        faults_.noteFault(clock_,
-                          "fault.host.transient:" + graph_.tensor(id).name,
-                          static_cast<std::int64_t>(id), wire_bytes);
+        faults_.note(obs::Label::HostTransient, clock_, id, wire_bytes);
         obs_.metrics.add("fault.host.rejects");
         return 0;
     }
@@ -1317,10 +1306,7 @@ Executor::hostStage(TensorId id, std::uint64_t wire_bytes)
     if (h == 0) {
         if (faults_.enabled()) {
             ++faults_.stats().hostRejects;
-            faults_.noteFault(clock_,
-                              "fault.host.exhausted:" +
-                                  graph_.tensor(id).name,
-                              static_cast<std::int64_t>(id), wire_bytes);
+            faults_.note(obs::Label::HostExhausted, clock_, id, wire_bytes);
         }
         obs_.metrics.add("fault.host.rejects");
     }
@@ -1334,18 +1320,12 @@ Executor::swapToDropFallback(TensorId id)
         // Nothing safe to do: the tensor stays resident; passive mode will
         // look for another victim.
         ++faults_.stats().swapSkips;
-        obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
-                            clock_,
-                            "recovery.swap-skipped:" + graph_.tensor(id).name,
-                            static_cast<std::int64_t>(id));
+        trace(obs::Label::SwapSkipped, id);
         obs_.metrics.add("recovery.swap_skipped");
         return;
     }
     ++faults_.stats().dropFallbacks;
-    obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
-                        clock_,
-                        "recovery.swap-to-drop:" + graph_.tensor(id).name,
-                        static_cast<std::int64_t>(id));
+    trace(obs::Label::SwapToDrop, id);
     obs_.metrics.add("recovery.drop_fallbacks");
     evictDrop(id);
 }
@@ -1375,7 +1355,7 @@ Executor::swapOut(TensorId id, bool on_demand)
             ++stats_.oomEvictions;
         obs_.metrics.add("swap.writeback_elided");
         noteOut(id);
-        notePhase(id, "OUT", when);
+        notePhase(id, obs::Label::PhaseOut, when);
         return true;
     }
     // Stage the pinned host destination before touching PCIe: staging
@@ -1386,8 +1366,7 @@ Executor::swapOut(TensorId id, bool on_demand)
     if (st.hostHandle != 0) {
         done = pcie_.tryTransfer(
             CopyDir::DeviceToHost, wireBytes(bytes), ready,
-            (on_demand ? "oom-swapout:" : "swapout:") + graph_.tensor(id).name,
-            static_cast<std::int64_t>(id));
+            on_demand ? obs::Label::OomSwapOut : obs::Label::SwapOut, id);
         if (!done)
             retireHostCopy(id); // retries exhausted
     }
@@ -1406,8 +1385,9 @@ Executor::swapOut(TensorId id, bool on_demand)
         ++stats_.oomEvictions;
     stats_.swapOutBytes += bytes;
     noteOut(id);
-    notePhase(id, "SWAPPING_OUT", pcie_.lastStart(CopyDir::DeviceToHost));
-    notePhase(id, "OUT", *done);
+    notePhase(id, obs::Label::PhaseSwappingOut,
+              pcie_.lastStart(CopyDir::DeviceToHost));
+    notePhase(id, obs::Label::PhaseOut, *done);
     return true;
 }
 
@@ -1426,9 +1406,7 @@ Executor::evictSwapBlocking(TensorId id)
     const TensorState &st = state(id);
     if (st.status == TensorStatus::SwappingOut) {
         computeBarrier_ = std::max(computeBarrier_, st.swapOutDone);
-        obs_.tracer.instant(obs::kTrackHost, obs::EventKind::Sync, clock_,
-                            "sync.blocking-swap:" + graph_.tensor(id).name,
-                            static_cast<std::int64_t>(id));
+        trace(obs::Label::BlockingSwap, id);
         obs_.metrics.add("swap.blocking_count");
     }
     return computeBarrier_;
@@ -1488,17 +1466,24 @@ Executor::prefetchAsync(TensorId id)
         // (passive-mode safety net).
         ++faults_.stats().prefetchMisses;
         obs_.metrics.add("prefetch.miss");
-        obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
-                            clock_,
-                            "recovery.prefetch-miss:" +
-                                graph_.tensor(id).name,
-                            static_cast<std::int64_t>(id));
+        trace(obs::Label::PrefetchMiss, id);
         return;
     }
-    Tick done = swapIn(id, *h, ready, "prefetch:");
+    Tick done = swapIn(id, *h, ready, obs::Label::Prefetch);
     st.status = TensorStatus::SwappingIn;
     stats_.prefetchBusy += done - pcie_.lastStart(CopyDir::HostToDevice);
     obs_.metrics.add("prefetch.count");
+}
+
+obs::Names
+traceNames(const Graph &graph)
+{
+    obs::Names names;
+    for (const TensorDesc &t : graph.tensors())
+        names.tensors.push_back(t.name);
+    for (const Operation &op : graph.ops())
+        names.ops.push_back(op.name);
+    return names;
 }
 
 } // namespace capu

@@ -129,6 +129,8 @@ struct ReplaySummary
     int replayed = 0;
     int audits = 0;
     int auditMismatches = 0;
+
+    bool operator==(const ReplaySummary &) const = default;
 };
 
 /**
@@ -269,8 +271,8 @@ struct TensorState
     std::uint64_t hostFp = 0;
     int weightVersion = 0;
 
-    /** Open residency-phase span ("IN", "OUT", ...); tracing only. */
-    const char *obsPhase = nullptr;
+    /** Open residency-phase span (PhaseIn, PhaseOut, ...); tracing only. */
+    std::optional<obs::Label> obsPhase;
     Tick obsPhaseAt = 0;
     /** Counted in tensor.out_bytes, awaiting swap-in or host-copy death. */
     bool outWithHost = false;
@@ -487,7 +489,7 @@ class Executor : public ExecContext
     bool swapOut(TensorId id, bool on_demand);
 
     /** H2D fill of `id`'s host copy into `h`; returns its completion. */
-    Tick swapIn(TensorId id, MemHandle h, Tick ready, const char *label);
+    Tick swapIn(TensorId id, MemHandle h, Tick ready, obs::Label label);
 
     /** Charge a back access of `id` that waited `stall` ticks from `from`. */
     void noteStall(TensorId id, Tick from, Tick stall);
@@ -529,7 +531,7 @@ class Executor : public ExecContext
 
     // --- observability (pure observers: never touch simulated time) ---
     /** Open residency phase `phase` for `id` at `at` (closes the prior). */
-    void notePhase(TensorId id, const char *phase, Tick at);
+    void notePhase(TensorId id, obs::Label phase, Tick at);
     void closePhase(TensorId id, Tick at);
     /**
      * Transition-level swap accounting: noteOut counts tensor.out_bytes;
@@ -548,6 +550,12 @@ class Executor : public ExecContext
     void beginIterationState();
     void finishIterationState();
 };
+
+/**
+ * The graph's tensor and op names, for formatting trace labels at export
+ * (writeChromeTrace, buildProfile). Built on demand, never per session.
+ */
+obs::Names traceNames(const Graph &graph);
 
 } // namespace capu
 

@@ -84,8 +84,9 @@ void
 MemoryManager::sampleUsage(Tick now)
 {
     if (tracer_) {
-        tracer_->counter(obs::kTrackMemory, now, "gpu.bytes_in_use",
-                         static_cast<double>(gpu_.bytesInUse()));
+        tracer_->emit({.label = obs::Label::GpuBytesInUse,
+                       .ts = now,
+                       .value = static_cast<double>(gpu_.bytesInUse())});
     }
 }
 

@@ -127,6 +127,17 @@ class ExecContext
      */
     virtual obs::Obs &obs() = 0;
 
+    /** Trace a policy decision `label` at now(); free when tracing is off. */
+    void
+    trace(obs::Label label, std::int64_t tensor = -1, std::uint64_t bytes = 0)
+    {
+        if (obs().tracing())
+            obs().tracer.emit({.label = label,
+                               .ts = now(),
+                               .tensor = tensor,
+                               .bytes = bytes});
+    }
+
     /**
      * Fault/perturbation engine (capuchaos) for recovery accounting. It
      * may be disabled; its FaultStats counters are valid either way.

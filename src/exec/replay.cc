@@ -216,6 +216,8 @@ ReplayEngine::captureDelta(const IterationStats &stats) const
 
     const auto &m = exec_.obs().metrics;
     for (const auto &[name, value] : m.counters()) {
+        if (name == obs::kTraceDroppedCounter)
+            continue; // observer-self: set from the live tracer
         auto it = marks_.counters.find(name);
         std::uint64_t prev = it == marks_.counters.end() ? 0 : it->second;
         if (value != prev)
@@ -326,18 +328,15 @@ ReplayEngine::emitSynthesized(const IterationStats &st, const Delta &tpl)
     obs::Obs &obs = exec_.obs();
     if (obs.tracing()) {
         Tick offset = st.begin - tpl.stats.begin;
-        obs.tracer.instant(obs::kTrackReplay, obs::EventKind::Marker,
-                           st.begin,
-                           "replay.iter:" + std::to_string(st.iteration));
-        for (const obs::TraceEvent &tev : tpl.events) {
-            obs::TraceEvent ev = tev;
+        obs.tracer.emit({.label = obs::Label::ReplayIter,
+                         .ts = st.begin,
+                         .number = st.iteration});
+        for (obs::TraceEvent ev : tpl.events) {
             ev.ts += offset;
-            // Iteration boundary markers carry the index in their label.
-            if (ev.name.rfind("iter:", 0) == 0)
-                ev.name = "iter:" + std::to_string(st.iteration);
-            else if (ev.name.rfind("iteration:", 0) == 0)
-                ev.name = "iteration:" + std::to_string(st.iteration);
-            obs.tracer.record(std::move(ev));
+            if (ev.label == obs::Label::IterBegin ||
+                ev.label == obs::Label::Iteration)
+                ev.number = st.iteration;
+            obs.tracer.emit(ev);
         }
     }
     if (obs.metricsOn()) {
@@ -351,6 +350,8 @@ ReplayEngine::emitSynthesized(const IterationStats &st, const Delta &tpl)
             m.set(name, value);
         for (const auto &[name, hist] : tpl.histDeltas)
             m.mergeHistogram(name, hist);
+        if (obs.tracing())
+            m.setCounter(obs::kTraceDroppedCounter, obs.tracer.dropped());
         m.add("replay.iterations");
         m.snapshotIteration(st.iteration);
     }

@@ -75,21 +75,12 @@ FaultEngine::attachTracer(obs::Tracer *tracer)
 }
 
 void
-FaultEngine::noteFault(Tick ts, std::string name, std::int64_t tensor,
-                       std::uint64_t bytes)
+FaultEngine::note(obs::Label label, Tick ts, std::int64_t tensor,
+                  std::uint64_t bytes)
 {
     if (tracer_)
-        tracer_->instant(obs::kTrackFault, obs::EventKind::Fault, ts,
-                         std::move(name), tensor, -1, bytes);
-}
-
-void
-FaultEngine::noteRecovery(Tick ts, std::string name, std::int64_t tensor,
-                          std::uint64_t bytes)
-{
-    if (tracer_)
-        tracer_->instant(obs::kTrackRecovery, obs::EventKind::Recovery, ts,
-                         std::move(name), tensor, -1, bytes);
+        tracer_->emit(
+            {.label = label, .ts = ts, .tensor = tensor, .bytes = bytes});
 }
 
 } // namespace capu::faults

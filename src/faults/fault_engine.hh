@@ -19,7 +19,6 @@
 #define CAPU_FAULTS_FAULT_ENGINE_HH
 
 #include <cstdint>
-#include <string>
 
 #include "faults/fault_spec.hh"
 #include "obs/tracer.hh"
@@ -101,13 +100,12 @@ class FaultEngine
      */
     void attachTracer(obs::Tracer *tracer);
 
-    /** Injected-episode instant on the `faults` track. */
-    void noteFault(Tick ts, std::string name, std::int64_t tensor = -1,
-                   std::uint64_t bytes = 0);
-
-    /** Reaction instant on the `recovery` track. */
-    void noteRecovery(Tick ts, std::string name, std::int64_t tensor = -1,
-                      std::uint64_t bytes = 0);
+    /**
+     * Record an injected episode (a fault.* label, `faults` track) or a
+     * reaction to one (a recovery.* label, `recovery` track).
+     */
+    void note(obs::Label label, Tick ts, std::int64_t tensor = -1,
+              std::uint64_t bytes = 0);
 
   private:
     FaultSpec spec_;

@@ -56,23 +56,25 @@ writeCommonArgs(std::ostream &os, const TraceEvent &ev, bool &first)
 }
 
 void
-writeEvent(std::ostream &os, const TraceEvent &ev)
+writeEvent(std::ostream &os, const TraceEvent &ev, const Names &names,
+           std::string &label)
 {
-    os << "{\"name\":\"" << jsonEscape(ev.name) << "\",\"cat\":\""
-       << eventKindName(ev.kind) << "\",\"pid\":0,\"tid\":" << ev.track
-       << ",\"ts\":" << micros(ev.ts);
-    switch (ev.phase) {
+    label.clear();
+    formatLabel(label, ev, names);
+    os << "{\"name\":\"" << jsonEscape(label) << "\",\"cat\":\""
+       << eventKindName(ev.kind()) << "\",\"pid\":0,\"tid\":" << ev.track()
+       << ",\"ts\":" << micros(ev.ts) << ",\"ph\":\""
+       << kPhaseCodes[static_cast<int>(ev.phase())] << '"';
+    switch (ev.phase()) {
       case EventPhase::Complete: {
-        os << ",\"ph\":\"X\",\"dur\":" << micros(ev.dur);
-        os << ",\"args\":{";
+        os << ",\"dur\":" << micros(ev.dur) << ",\"args\":{";
         bool first = true;
         writeCommonArgs(os, ev, first);
         os << "}";
         break;
       }
       case EventPhase::Instant: {
-        os << ",\"ph\":\"i\",\"s\":\"t\"";
-        os << ",\"args\":{";
+        os << ",\"s\":\"t\",\"args\":{";
         bool first = true;
         writeCommonArgs(os, ev, first);
         if (ev.value != 0) { // access index: keeps the export lossless
@@ -83,14 +85,11 @@ writeEvent(std::ostream &os, const TraceEvent &ev)
         break;
       }
       case EventPhase::Counter:
-        os << ",\"ph\":\"C\",\"args\":{\"value\":" << jsonDouble(ev.value)
-           << "}";
+        os << ",\"args\":{\"value\":" << jsonDouble(ev.value) << "}";
         break;
       case EventPhase::SpanBegin:
       case EventPhase::SpanEnd:
-        os << ",\"ph\":\""
-           << (ev.phase == EventPhase::SpanBegin ? 'b' : 'e')
-           << "\",\"id\":" << ev.tensor << ",\"args\":{";
+        os << ",\"id\":" << ev.tensor << ",\"args\":{";
         if (ev.bytes != 0)
             os << "\"bytes\":" << ev.bytes;
         os << "}";
@@ -100,6 +99,36 @@ writeEvent(std::ostream &os, const TraceEvent &ev)
 }
 
 } // namespace
+
+const char *
+eventKindName(EventKind kind)
+{
+    // In EventKind order.
+    static constexpr const char *kNames[] = {
+        "kernel", "recompute", "transfer", "sync",  "stall",
+        "access", "oom",       "decision", "plan",  "tensor",
+        "sample", "marker",    "fault",    "recovery"};
+    static_assert(std::size(kNames) ==
+                  static_cast<std::size_t>(EventKind::Recovery) + 1);
+    return kNames[static_cast<std::size_t>(kind)];
+}
+
+void
+formatLabel(std::string &out, const TraceEvent &ev, const Names &names)
+{
+    const LabelInfo &info = labelInfo(ev.label);
+    if (info.form == LabelForm::Phase)
+        (out += names.tensor(ev.tensor)) += ':';
+    out += info.text;
+    if (info.form == LabelForm::Tensor)
+        out += names.tensor(ev.tensor);
+    else if (info.form == LabelForm::Op)
+        out += names.op(ev.op);
+    else if (info.form == LabelForm::Number)
+        out += std::to_string(ev.number);
+    if (ev.failed)
+        out += "!fail";
+}
 
 std::string
 jsonEscape(std::string_view s)
@@ -128,7 +157,7 @@ jsonEscape(std::string_view s)
 }
 
 void
-writeChromeTrace(std::ostream &os, const Tracer &tracer)
+writeChromeTrace(std::ostream &os, const Tracer &tracer, const Names &names)
 {
     os << "{\"traceEvents\":[\n";
     bool first = true;
@@ -152,9 +181,10 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer)
            << track << ",\"args\":{\"sort_index\":" << track << "}}";
     }
 
+    std::string label;
     for (const auto &ev : tracer.chronological()) {
         sep();
-        writeEvent(os, ev);
+        writeEvent(os, ev, names, label);
     }
 
     os << "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{"
@@ -168,14 +198,15 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer)
 }
 
 bool
-writeChromeTraceFile(const std::string &path, const Tracer &tracer)
+writeChromeTraceFile(const std::string &path, const Tracer &tracer,
+                     const Names &names)
 {
     std::ofstream os(path);
     if (!os) {
         warn("obs: cannot open trace file '{}'", path);
         return false;
     }
-    writeChromeTrace(os, tracer);
+    writeChromeTrace(os, tracer, names);
     if (tracer.dropped() > 0) {
         warn("obs: trace ring dropped {} of {} events (oldest first); "
              "profile/trace '{}' is truncated — raise --trace-cap",

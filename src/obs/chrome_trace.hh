@@ -33,9 +33,12 @@
 namespace capu::obs
 {
 
-void writeChromeTrace(std::ostream &os, const Tracer &tracer);
+/** Labels are formatted with tensor and op names from `names`. */
+void writeChromeTrace(std::ostream &os, const Tracer &tracer,
+                      const Names &names);
 /** Returns false (and logs) if the file cannot be opened. */
-bool writeChromeTraceFile(const std::string &path, const Tracer &tracer);
+bool writeChromeTraceFile(const std::string &path, const Tracer &tracer,
+                          const Names &names);
 
 void writeMetricsCsv(std::ostream &os, const MetricsRegistry &metrics);
 void writeMetricsJson(std::ostream &os, const MetricsRegistry &metrics);

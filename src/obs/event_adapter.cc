@@ -1,39 +1,9 @@
 #include "obs/event_adapter.hh"
 
 #include <algorithm>
-#include <string>
 
 namespace capu::obs
 {
-
-const char *
-timelineKindName(TimelineKind kind)
-{
-    switch (kind) {
-      case TimelineKind::Access:
-        return "access";
-      case TimelineKind::Recompute:
-        return "recompute";
-      case TimelineKind::SwapOut:
-        return "swap-out";
-      case TimelineKind::SwapIn:
-        return "swap-in";
-    }
-    return "?";
-}
-
-namespace
-{
-
-bool
-endsWith(const std::string &s, const char *suffix)
-{
-    std::string suf = suffix;
-    return s.size() >= suf.size() &&
-           s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
-
-} // namespace
 
 std::vector<TimelineRecord>
 extractTimeline(const std::vector<TraceEvent> &events)
@@ -49,29 +19,25 @@ extractTimeline(const std::vector<TraceEvent> &events)
         rec.start = ev.ts;
         rec.end = ev.ts + ev.dur;
         rec.bytes = ev.bytes;
-        switch (ev.kind) {
-          case EventKind::Access:
-            if (ev.track != kTrackHost || ev.phase != EventPhase::Instant)
-                continue;
+        switch (ev.label) {
+          case Label::Read:
+          case Label::Write:
             rec.kind = TimelineKind::Access;
             rec.accessIndex = static_cast<int>(ev.value);
-            rec.write = ev.name == "write";
+            rec.write = ev.label == Label::Write;
             break;
-          case EventKind::Recompute:
-            if (ev.track != kTrackCompute || ev.phase != EventPhase::Complete)
-                continue;
+          case Label::Recompute:
             rec.kind = TimelineKind::Recompute;
             break;
-          case EventKind::Transfer:
-            if (ev.phase != EventPhase::Complete)
-                continue;
-            if (ev.track == kTrackD2H)
-                rec.kind = TimelineKind::SwapOut;
-            else if (ev.track == kTrackH2D)
-                rec.kind = TimelineKind::SwapIn;
-            else
-                continue;
-            rec.failed = endsWith(ev.name, "!fail");
+          case Label::SwapOut:
+          case Label::OomSwapOut:
+            rec.kind = TimelineKind::SwapOut;
+            rec.failed = ev.failed;
+            break;
+          case Label::SwapIn:
+          case Label::Prefetch:
+            rec.kind = TimelineKind::SwapIn;
+            rec.failed = ev.failed;
             break;
           default:
             continue;
@@ -88,10 +54,7 @@ extractTimeline(const std::vector<TraceEvent> &events)
 std::vector<TimelineRecord>
 extractTimeline(const Tracer &tracer)
 {
-    std::vector<TraceEvent> raw;
-    raw.reserve(tracer.size());
-    tracer.forEach([&](const TraceEvent &ev) { raw.push_back(ev); });
-    return extractTimeline(raw);
+    return extractTimeline(tracer.chronological());
 }
 
 } // namespace capu::obs

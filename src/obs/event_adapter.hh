@@ -34,8 +34,6 @@ enum class TimelineKind : std::uint8_t
     SwapIn,    ///< H2D transfer of a tensor (interval)
 };
 
-const char *timelineKindName(TimelineKind kind);
-
 struct TimelineRecord
 {
     TimelineKind kind = TimelineKind::Access;

@@ -27,6 +27,10 @@
 namespace capu::obs
 {
 
+/** The trace ring's drops: observer state that replay never templates. */
+inline constexpr std::string_view kTraceDroppedCounter =
+    "capu.obs.trace_dropped";
+
 /** Power-of-two bucket histogram for nonnegative integer observations. */
 class Histogram
 {

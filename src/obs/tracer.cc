@@ -7,28 +7,6 @@
 namespace capu::obs
 {
 
-const char *
-eventKindName(EventKind kind)
-{
-    switch (kind) {
-      case EventKind::Kernel: return "kernel";
-      case EventKind::Recompute: return "recompute";
-      case EventKind::Transfer: return "transfer";
-      case EventKind::Sync: return "sync";
-      case EventKind::Stall: return "stall";
-      case EventKind::Access: return "access";
-      case EventKind::OomStep: return "oom";
-      case EventKind::Decision: return "decision";
-      case EventKind::Plan: return "plan";
-      case EventKind::Lifetime: return "tensor";
-      case EventKind::Sample: return "sample";
-      case EventKind::Marker: return "marker";
-      case EventKind::Fault: return "fault";
-      case EventKind::Recovery: return "recovery";
-    }
-    return "?";
-}
-
 Tracer::Tracer(std::size_t capacity) : capacity_(capacity)
 {
     if (capacity_ == 0)
@@ -81,102 +59,16 @@ Tracer::setMeta(std::string key, std::string value)
 }
 
 void
-Tracer::record(TraceEvent ev)
+Tracer::push(const TraceEvent &ev)
 {
-    if (!enabled_)
-        return;
     ++recorded_;
     chronoDirty_ = true;
     if (buf_.size() < capacity_) {
-        buf_.push_back(std::move(ev));
+        buf_.push_back(ev);
         return;
     }
-    buf_[next_] = std::move(ev);
+    buf_[next_] = ev;
     next_ = (next_ + 1) % buf_.size();
-}
-
-void
-Tracer::complete(std::uint32_t track, EventKind kind, Tick start, Tick dur,
-                 std::string name, std::int64_t tensor, std::int64_t op,
-                 std::uint64_t bytes)
-{
-    if (!enabled_)
-        return;
-    TraceEvent ev;
-    ev.ts = start;
-    ev.dur = dur;
-    ev.track = track;
-    ev.phase = EventPhase::Complete;
-    ev.kind = kind;
-    ev.tensor = tensor;
-    ev.op = op;
-    ev.bytes = bytes;
-    ev.name = std::move(name);
-    record(std::move(ev));
-}
-
-void
-Tracer::instant(std::uint32_t track, EventKind kind, Tick ts,
-                std::string name, std::int64_t tensor, std::int64_t op,
-                std::uint64_t bytes)
-{
-    if (!enabled_)
-        return;
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.track = track;
-    ev.phase = EventPhase::Instant;
-    ev.kind = kind;
-    ev.tensor = tensor;
-    ev.op = op;
-    ev.bytes = bytes;
-    ev.name = std::move(name);
-    record(std::move(ev));
-}
-
-void
-Tracer::counter(std::uint32_t track, Tick ts, std::string name, double value)
-{
-    if (!enabled_)
-        return;
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.track = track;
-    ev.phase = EventPhase::Counter;
-    ev.kind = EventKind::Sample;
-    ev.value = value;
-    ev.name = std::move(name);
-    record(std::move(ev));
-}
-
-void
-Tracer::spanBegin(EventKind kind, std::int64_t id, Tick ts, std::string name,
-                  std::uint64_t bytes)
-{
-    if (!enabled_)
-        return;
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.phase = EventPhase::SpanBegin;
-    ev.kind = kind;
-    ev.tensor = id;
-    ev.bytes = bytes;
-    ev.name = std::move(name);
-    record(std::move(ev));
-}
-
-void
-Tracer::spanEnd(EventKind kind, std::int64_t id, Tick ts, std::string name)
-{
-    if (!enabled_)
-        return;
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.phase = EventPhase::SpanEnd;
-    ev.kind = kind;
-    ev.tensor = id;
-    ev.name = std::move(name);
-    record(std::move(ev));
 }
 
 std::vector<TraceEvent>

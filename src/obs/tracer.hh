@@ -35,7 +35,7 @@ class Tracer
 
     explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
-    /** Disabled tracers drop every record() without touching the ring. */
+    /** Disabled tracers drop every emit() without touching the ring. */
     void setEnabled(bool on) { enabled_ = on; }
     bool enabled() const { return enabled_; }
 
@@ -74,27 +74,17 @@ class Tracer
         return meta_;
     }
 
-    void record(TraceEvent ev);
-
-    // --- convenience emitters (no-ops while disabled) ---
-
-    void complete(std::uint32_t track, EventKind kind, Tick start, Tick dur,
-                  std::string name, std::int64_t tensor = -1,
-                  std::int64_t op = -1, std::uint64_t bytes = 0);
-
-    void instant(std::uint32_t track, EventKind kind, Tick ts,
-                 std::string name, std::int64_t tensor = -1,
-                 std::int64_t op = -1, std::uint64_t bytes = 0);
-
-    void counter(std::uint32_t track, Tick ts, std::string name,
-                 double value);
-
-    /** Open an async span; paired with spanEnd by (kind, id). `bytes`
-     *  sizes the spanned object (tensor lifetime spans: alloc bytes) so
-     *  post-hoc analyzers can weigh residency without the graph. */
-    void spanBegin(EventKind kind, std::int64_t id, Tick ts,
-                   std::string name, std::uint64_t bytes = 0);
-    void spanEnd(EventKind kind, std::int64_t id, Tick ts, std::string name);
+    /**
+     * Record one event; a no-op while disabled. The label fixes the
+     * event's kind, track and phase (event.hh), so a call names only the
+     * label and the ids: `emit({.label = Label::Stall, .ts = t, ...})`.
+     */
+    void
+    emit(const TraceEvent &ev)
+    {
+        if (enabled_)
+            push(ev);
+    }
 
     /** Visit buffered events oldest-to-newest (emission order). */
     template <typename Fn>
@@ -112,7 +102,7 @@ class Tracer
 
     /**
      * Buffered events stable-sorted by timestamp. The sort is cached and
-     * invalidated by record()/clear()/setCapacity(), so exporters and
+     * invalidated by emit()/clear()/setCapacity(), so exporters and
      * analyzers that each walk the full ring share one sort. The reference
      * is invalidated by the next mutation.
      */
@@ -127,6 +117,8 @@ class Tracer
     std::vector<TraceEvent> eventsSince(std::uint64_t mark) const;
 
   private:
+    void push(const TraceEvent &ev);
+
     std::vector<TraceEvent> buf_;
     mutable std::vector<TraceEvent> chrono_; ///< chronological() cache
     mutable bool chronoDirty_ = true;

@@ -108,9 +108,7 @@ CheckpointingPolicy::afterOp(ExecContext &ctx, OpId op, Tick op_end)
     if (it == dropAfter_.end())
         return;
     for (TensorId t : it->second) {
-        ctx.obs().tracer.instant(obs::kTrackPolicy,
-                                 obs::EventKind::Decision, ctx.now(),
-                                 "ckpt.drop", static_cast<std::int64_t>(t));
+        ctx.trace(obs::Label::CkptDrop, t);
         ctx.obs().metrics.add("ckpt.drops");
         ctx.evictDrop(t);
     }

@@ -97,10 +97,7 @@ VdnnPolicy::afterOp(ExecContext &ctx, OpId op, Tick op_end)
     if (it == offloadAfter_.end())
         return;
     for (TensorId t : it->second) {
-        ctx.obs().tracer.instant(obs::kTrackPolicy,
-                                 obs::EventKind::Decision, ctx.now(),
-                                 "vdnn.offload",
-                                 static_cast<std::int64_t>(t));
+        ctx.trace(obs::Label::VdnnOffload, t);
         ctx.obs().metrics.add("vdnn.offloads");
         // Coupled swap-out: vDNN synchronizes the next layer on the copy.
         ctx.evictSwapBlocking(t);
@@ -123,10 +120,7 @@ VdnnPolicy::onAccess(ExecContext &ctx, const AccessEvent &event)
         return;
     TensorId prev = targets_[it->second - 1];
     if (ctx.status(prev) == TensorStatus::Out) {
-        ctx.obs().tracer.instant(obs::kTrackPolicy,
-                                 obs::EventKind::Decision, ctx.now(),
-                                 "vdnn.prefetch",
-                                 static_cast<std::int64_t>(prev));
+        ctx.trace(obs::Label::VdnnPrefetch, prev);
         ctx.obs().metrics.add("vdnn.prefetches");
         ctx.prefetchAsync(prev);
     }

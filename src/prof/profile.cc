@@ -15,34 +15,6 @@ namespace capu::prof
 namespace
 {
 
-bool
-startsWith(const std::string &s, const char *prefix)
-{
-    return s.rfind(prefix, 0) == 0;
-}
-
-bool
-endsWith(const std::string &s, const char *suffix)
-{
-    std::size_t n = std::strlen(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-/** "tensorname:PHASE" -> phase (after the last ':'); empty if malformed. */
-std::string
-spanPhase(const std::string &label)
-{
-    auto pos = label.rfind(':');
-    return pos == std::string::npos ? std::string() : label.substr(pos + 1);
-}
-
-std::string
-spanTensorName(const std::string &label)
-{
-    auto pos = label.rfind(':');
-    return pos == std::string::npos ? label : label.substr(0, pos);
-}
-
 /** Bucket categories in sweep priority order (idle is the remainder). */
 enum Cat : int
 {
@@ -72,12 +44,14 @@ addBucket(Buckets &b, int cat, Tick amount)
     }
 }
 
+/** `label` is scratch space for the event's formatted name. */
 std::uint64_t
-mixEvent(std::uint64_t h, const obs::TraceEvent &ev, Tick iterBegin)
+mixEvent(std::uint64_t h, const obs::TraceEvent &ev, Tick iterBegin,
+         const obs::Names &names, std::string &label)
 {
-    h = hashCombine(h, ev.track);
-    h = hashCombine(h, static_cast<std::uint64_t>(ev.phase));
-    h = hashCombine(h, static_cast<std::uint64_t>(ev.kind));
+    h = hashCombine(h, ev.track());
+    h = hashCombine(h, static_cast<std::uint64_t>(ev.phase()));
+    h = hashCombine(h, static_cast<std::uint64_t>(ev.kind()));
     h = hashCombine(h, static_cast<std::uint64_t>(ev.tensor + 1));
     h = hashCombine(h, static_cast<std::uint64_t>(ev.op + 1));
     h = hashCombine(h, ev.bytes);
@@ -86,7 +60,9 @@ mixEvent(std::uint64_t h, const obs::TraceEvent &ev, Tick iterBegin)
     std::uint64_t vb = 0;
     std::memcpy(&vb, &ev.value, sizeof(vb));
     h = hashCombine(h, vb);
-    h = hashCombine(h, hashString(ev.name.c_str()));
+    label.clear();
+    obs::formatLabel(label, ev, names);
+    h = hashCombine(h, hashString(label.c_str()));
     return h;
 }
 
@@ -114,7 +90,7 @@ Profile::conservationError() const
 
 Profile
 buildProfile(const std::vector<obs::TraceEvent> &events,
-             const ProfileOptions &opts)
+             const obs::Names &names, const ProfileOptions &opts)
 {
     Profile out;
     out.meta = opts.meta;
@@ -129,7 +105,7 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
     std::vector<const obs::TraceEvent *> evs;
     evs.reserve(events.size());
     for (const auto &ev : events) {
-        if (ev.track != obs::kTrackReplay)
+        if (ev.track() != obs::kTrackReplay)
             evs.push_back(&ev);
     }
     std::stable_sort(evs.begin(), evs.end(),
@@ -141,13 +117,12 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
 
     // --- iteration windows + session window ---
     for (const obs::TraceEvent *ev : evs) {
-        if (ev->phase == obs::EventPhase::Complete &&
-            ev->kind == obs::EventKind::Marker &&
-            startsWith(ev->name, "iteration:")) {
+        if (ev->label == obs::Label::Iteration) {
             IterationProfile it;
-            it.iteration = std::atoi(ev->name.c_str() + 10);
+            it.iteration = static_cast<int>(ev->number);
             it.begin = ev->ts;
             it.end = ev->ts + ev->dur;
+            it.digest = 1469598103934665603ull; // FNV-1a offset basis
             out.iterations.push_back(it);
         }
     }
@@ -168,49 +143,20 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
     }
     out.wallTicks = out.sessionEnd - out.sessionBegin;
 
-    // --- shape-class drift attribution (capudrift) ---
-    // The drift track marks each iteration's class at its begin tick and
-    // records novel-class / re-measurement decisions; static runs emit
-    // nothing on it, leaving the summary all-zero.
-    {
-        std::vector<Tick> begins;
-        begins.reserve(out.iterations.size());
-        for (const auto &it : out.iterations)
-            begins.push_back(it.begin);
-        for (const obs::TraceEvent *ev : evs) {
-            if (ev->track != obs::kTrackDrift)
-                continue;
-            if (startsWith(ev->name, "drift.class:")) {
-                auto pos = std::upper_bound(begins.begin(), begins.end(),
-                                            ev->ts);
-                if (pos == begins.begin())
-                    continue;
-                std::size_t idx =
-                    static_cast<std::size_t>(pos - begins.begin()) - 1;
-                if (ev->ts < out.iterations[idx].end) {
-                    out.iterations[idx].shapeClass =
-                        std::atoi(ev->name.c_str() + 12);
-                }
-            } else if (startsWith(ev->name, "drift.novel")) {
-                ++out.drift.novel;
-            } else if (startsWith(ev->name, "drift.remeasure")) {
-                ++out.drift.remeasures;
-            }
-        }
-        for (const auto &it : out.iterations) {
-            if (it.shapeClass < 0)
-                continue;
-            auto cls = static_cast<std::size_t>(it.shapeClass);
-            if (out.drift.iterationsPerClass.size() <= cls) {
-                out.drift.iterationsPerClass.resize(cls + 1, 0);
-                out.drift.wallPerClass.resize(cls + 1, 0);
-            }
-            ++out.drift.iterationsPerClass[cls];
-            out.drift.wallPerClass[cls] += it.end - it.begin;
-        }
-        for (int n : out.drift.iterationsPerClass)
-            out.drift.classes += n > 0 ? 1 : 0;
-    }
+    // The iteration window holding `ts`; nullptr before the first one and
+    // in inter-iteration gaps.
+    std::vector<Tick> begins;
+    begins.reserve(out.iterations.size());
+    for (const auto &it : out.iterations)
+        begins.push_back(it.begin);
+    auto iterAt = [&](Tick ts) -> IterationProfile * {
+        auto pos = std::upper_bound(begins.begin(), begins.end(), ts);
+        if (pos == begins.begin())
+            return nullptr;
+        IterationProfile &it =
+            out.iterations[static_cast<std::size_t>(pos - begins.begin()) - 1];
+        return ts < it.end ? &it : nullptr;
+    };
 
     // --- accounts keyed by tensor / op id ---
     std::map<std::int64_t, TensorAccount> tensors;
@@ -227,13 +173,8 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
     // off-device (relief) lifetime intervals.
     std::unordered_map<std::int64_t, std::vector<Tick>> accesses;
     std::unordered_map<std::int64_t, std::vector<Tick>> stallEnds;
-    struct Span
-    {
-        Tick begin = 0;
-        std::string phase;
-        std::uint64_t bytes = 0;
-    };
-    std::unordered_map<std::int64_t, Span> openSpans;
+    // Each tensor's open residency span, as the event that opened it.
+    std::unordered_map<std::int64_t, obs::TraceEvent> openSpans;
     struct Residency
     {
         Tick begin = 0;
@@ -257,132 +198,132 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
         bounds.push_back({a, cat, +1});
         bounds.push_back({b, cat, -1});
     };
-    auto closeSpan = [&](std::int64_t id, const Span &span, Tick endTs) {
+    auto closeSpan = [&](std::int64_t id, const obs::TraceEvent &span,
+                         Tick endTs) {
         TensorAccount &acc = tacc(id);
         if (acc.bytes == 0)
             acc.bytes = span.bytes;
-        if (span.phase == "OUT" || span.phase == "DROPPED") {
+        if (span.label == obs::Label::PhaseOut ||
+            span.label == obs::Label::PhaseDropped) {
             acc.reliefByteTicks += static_cast<double>(span.bytes) *
-                                   static_cast<double>(endTs - span.begin);
-        } else if (!span.phase.empty()) {
+                                   static_cast<double>(endTs - span.ts);
+        } else {
             // IN / SWAPPING_IN / SWAPPING_OUT all hold device bytes.
-            resident[id].push_back({span.begin, endTs});
+            resident[id].push_back({span.ts, endTs});
         }
     };
 
+    std::string label; // scratch for the digests' formatted names
     for (const obs::TraceEvent *pev : evs) {
         const obs::TraceEvent &ev = *pev;
-        switch (ev.phase) {
-          case obs::EventPhase::Complete:
-            if (ev.track == obs::kTrackCompute) {
-                if (ev.kind == obs::EventKind::Kernel) {
-                    addInterval(kCompute, ev.ts, ev.ts + ev.dur);
-                    if (ev.op >= 0) {
-                        OpAccount &oa = ops[ev.op];
-                        oa.op = ev.op;
-                        if (oa.name.empty())
-                            oa.name = ev.name;
-                        ++oa.count;
-                        oa.computeTicks += ev.dur;
-                    }
-                } else if (ev.kind == obs::EventKind::Recompute) {
-                    addInterval(kRecompute, ev.ts, ev.ts + ev.dur);
-                    if (ev.tensor >= 0) {
-                        TensorAccount &acc = tacc(ev.tensor);
-                        acc.recomputeTicks += ev.dur;
-                        ++acc.recomputeOps;
-                    }
-                }
-            } else if (ev.track == obs::kTrackHost) {
-                if (ev.kind == obs::EventKind::Stall) {
-                    addInterval(kSwapStall, ev.ts, ev.ts + ev.dur);
-                    if (ev.tensor >= 0) {
-                        TensorAccount &acc = tacc(ev.tensor);
-                        acc.stallTicks += ev.dur;
-                        if (startsWith(ev.name, "stall:") &&
-                            acc.name.empty())
-                            acc.name = ev.name.substr(6);
-                        stallEnds[ev.tensor].push_back(ev.ts + ev.dur);
-                    }
-                } else if (ev.kind == obs::EventKind::OomStep) {
-                    addInterval(kOom, ev.ts, ev.ts + ev.dur);
-                }
-            } else if (ev.track == obs::kTrackD2H ||
-                       ev.track == obs::kTrackH2D) {
-                if (ev.kind != obs::EventKind::Transfer || ev.tensor < 0)
-                    break;
-                TensorAccount &acc = tacc(ev.tensor);
-                acc.transferTicks += ev.dur;
-                if (endsWith(ev.name, "!fail"))
-                    break; // occupancy only: the copy never completed
-                acc.bytes = std::max(acc.bytes, ev.bytes);
-                if (ev.track == obs::kTrackD2H) {
-                    acc.swapOutBytes += ev.bytes;
-                    ++acc.swapOutCount;
-                    if (acc.name.empty()) {
-                        if (startsWith(ev.name, "swapout:"))
-                            acc.name = ev.name.substr(8);
-                        else if (startsWith(ev.name, "oom-swapout:"))
-                            acc.name = ev.name.substr(12);
-                    }
-                } else {
-                    acc.swapInBytes += ev.bytes;
-                    ++acc.swapInCount;
-                    bool onDemand = startsWith(ev.name, "swapin:");
-                    if (acc.name.empty()) {
-                        acc.name = ev.name.substr(onDemand ? 7 : 9);
-                    }
-                    h2ds.push_back(
-                        {ev.tensor, ev.ts, ev.ts + ev.dur, onDemand});
-                }
+        IterationProfile *iter = iterAt(ev.ts);
+        if (iter)
+            iter->digest = mixEvent(iter->digest, ev, iter->begin, names,
+                                    label);
+        switch (ev.label) {
+          case obs::Label::Kernel:
+            addInterval(kCompute, ev.ts, ev.ts + ev.dur);
+            if (ev.op >= 0) {
+                OpAccount &oa = ops[ev.op];
+                oa.op = ev.op;
+                ++oa.count;
+                oa.computeTicks += ev.dur;
             }
             break;
-
-          case obs::EventPhase::Instant:
-            if (ev.kind == obs::EventKind::Access && ev.tensor >= 0)
+          case obs::Label::Recompute:
+            addInterval(kRecompute, ev.ts, ev.ts + ev.dur);
+            if (ev.tensor >= 0) {
+                TensorAccount &acc = tacc(ev.tensor);
+                acc.recomputeTicks += ev.dur;
+                ++acc.recomputeOps;
+            }
+            break;
+          case obs::Label::Stall:
+            addInterval(kSwapStall, ev.ts, ev.ts + ev.dur);
+            if (ev.tensor >= 0) {
+                tacc(ev.tensor).stallTicks += ev.dur;
+                stallEnds[ev.tensor].push_back(ev.ts + ev.dur);
+            }
+            break;
+          case obs::Label::OomWaitFree:
+            addInterval(kOom, ev.ts, ev.ts + ev.dur);
+            break;
+          case obs::Label::SwapOut:
+          case obs::Label::OomSwapOut:
+          case obs::Label::SwapIn:
+          case obs::Label::Prefetch: {
+            if (ev.tensor < 0)
+                break;
+            TensorAccount &acc = tacc(ev.tensor);
+            acc.transferTicks += ev.dur;
+            if (ev.failed)
+                break; // occupancy only: the copy never completed
+            acc.bytes = std::max(acc.bytes, ev.bytes);
+            if (ev.track() == obs::kTrackD2H) {
+                acc.swapOutBytes += ev.bytes;
+                ++acc.swapOutCount;
+            } else {
+                acc.swapInBytes += ev.bytes;
+                ++acc.swapInCount;
+                h2ds.push_back({ev.tensor, ev.ts, ev.ts + ev.dur,
+                                ev.label == obs::Label::SwapIn});
+            }
+            break;
+          }
+          case obs::Label::Read:
+          case obs::Label::Write:
+            if (ev.tensor >= 0)
                 accesses[ev.tensor].push_back(ev.ts);
             break;
-
-          case obs::EventPhase::Counter:
-            if (ev.track == obs::kTrackMemory &&
-                ev.name == "gpu.bytes_in_use") {
-                auto sampled = static_cast<std::uint64_t>(ev.value);
-                if (sampled > out.peakBytes) {
-                    out.peakBytes = sampled;
-                    out.peakTs = ev.ts;
-                }
+          // The drift track marks each iteration's shape class at its
+          // begin tick (capudrift); static runs emit nothing on it.
+          case obs::Label::DriftClass:
+            if (iter)
+                iter->shapeClass = static_cast<int>(ev.number);
+            break;
+          case obs::Label::DriftNovel:
+            ++out.drift.novel;
+            break;
+          case obs::Label::DriftRemeasure:
+            ++out.drift.remeasures;
+            break;
+          case obs::Label::GpuBytesInUse: {
+            auto sampled = static_cast<std::uint64_t>(ev.value);
+            if (sampled > out.peakBytes) {
+                out.peakBytes = sampled;
+                out.peakTs = ev.ts;
             }
             break;
-
-          case obs::EventPhase::SpanBegin:
-            if (ev.kind == obs::EventKind::Lifetime) {
-                auto it = openSpans.find(ev.tensor);
-                if (it != openSpans.end())
-                    closeSpan(ev.tensor, it->second, ev.ts);
-                Span span;
-                span.begin = ev.ts;
-                span.phase = spanPhase(ev.name);
-                span.bytes = ev.bytes;
-                if (tacc(ev.tensor).name.empty())
-                    tacc(ev.tensor).name = spanTensorName(ev.name);
-                openSpans[ev.tensor] = std::move(span);
+          }
+          default:
+            if (ev.kind() != obs::EventKind::Lifetime)
+                break;
+            auto it = openSpans.find(ev.tensor);
+            if (it != openSpans.end()) {
+                closeSpan(ev.tensor, it->second, ev.ts);
+                openSpans.erase(it);
             }
-            break;
-
-          case obs::EventPhase::SpanEnd:
-            if (ev.kind == obs::EventKind::Lifetime) {
-                auto it = openSpans.find(ev.tensor);
-                if (it != openSpans.end()) {
-                    closeSpan(ev.tensor, it->second, ev.ts);
-                    openSpans.erase(it);
-                }
-            }
+            if (!ev.closes)
+                openSpans[ev.tensor] = ev;
             break;
         }
     }
     // Spans still open when the trace ends extend to the session edge.
     for (auto &[id, span] : openSpans)
         closeSpan(id, span, out.sessionEnd);
+    for (const auto &it : out.iterations) {
+        if (it.shapeClass < 0)
+            continue;
+        auto cls = static_cast<std::size_t>(it.shapeClass);
+        if (out.drift.iterationsPerClass.size() <= cls) {
+            out.drift.iterationsPerClass.resize(cls + 1, 0);
+            out.drift.wallPerClass.resize(cls + 1, 0);
+        }
+        ++out.drift.iterationsPerClass[cls];
+        out.drift.wallPerClass[cls] += it.end - it.begin;
+    }
+    for (int n : out.drift.iterationsPerClass)
+        out.drift.classes += n > 0 ? 1 : 0;
 
     // --- bucket sweep ---
     // Iteration edges join the boundary set so no segment straddles an
@@ -429,28 +370,6 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
             cursor < out.iterations[iterIdx].end)
             addBucket(out.iterations[iterIdx].buckets, cat, amount);
         cursor = next;
-    }
-
-    // --- iteration digests ---
-    if (!out.iterations.empty()) {
-        std::vector<Tick> begins;
-        begins.reserve(out.iterations.size());
-        for (const auto &it : out.iterations)
-            begins.push_back(it.begin);
-        for (auto &it : out.iterations)
-            it.digest = 1469598103934665603ull; // FNV-1a offset basis
-        for (const obs::TraceEvent *ev : evs) {
-            auto pos = std::upper_bound(begins.begin(), begins.end(),
-                                        ev->ts);
-            if (pos == begins.begin())
-                continue; // before the first iteration
-            std::size_t idx =
-                static_cast<std::size_t>(pos - begins.begin()) - 1;
-            IterationProfile &it = out.iterations[idx];
-            if (ev->ts >= it.end)
-                continue; // inter-iteration gap
-            it.digest = mixEvent(it.digest, *ev, it.begin);
-        }
     }
 
     // --- prefetch timeliness ---
@@ -505,9 +424,12 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
             }
         }
         acc.overheadTicks = acc.stallTicks + acc.recomputeTicks;
+        acc.name = names.tensor(id);
         if (acc.name.empty())
             acc.name = "tensor" + std::to_string(id);
     }
+    for (auto &[id, oa] : ops)
+        oa.name = names.op(id);
 
     out.tensors.reserve(tensors.size());
     for (auto &[id, acc] : tensors)
@@ -523,13 +445,14 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
 }
 
 Profile
-buildProfile(const obs::Tracer &tracer, const ProfileOptions &opts)
+buildProfile(const obs::Tracer &tracer, const obs::Names &names,
+             const ProfileOptions &opts)
 {
     ProfileOptions effective = opts;
     effective.droppedEvents = tracer.dropped();
     if (effective.meta.empty())
         effective.meta = tracer.meta();
-    return buildProfile(tracer.chronological(), effective);
+    return buildProfile(tracer.chronological(), names, effective);
 }
 
 std::vector<const TensorAccount *>

@@ -213,22 +213,24 @@ struct ProfileOptions
 
 /**
  * Build a profile from a raw event stream (emission order is fine; the
- * builder sorts what it needs). Replay-track markers are excluded from
- * digests and buckets so replayed and executed runs profile identically.
+ * builder sorts what it needs). Tensor and op names come from `names`.
+ * Replay-track markers are excluded from digests and buckets so replayed
+ * and executed runs profile identically.
  */
 Profile buildProfile(const std::vector<obs::TraceEvent> &events,
+                     const obs::Names &names,
                      const ProfileOptions &opts = {});
 
 /** Convenience: profile a live tracer's ring (drops + meta carried over). */
+Profile buildProfile(const obs::Tracer &tracer, const obs::Names &names,
+                     const ProfileOptions &opts = {});
+
 /**
  * Lift a PlanService metrics registry's capu.serve.* counters and gauges
  * into a ServeSummary (present=true). The inverse of the JSON "serve"
  * section: attach the result to a Profile before writing it.
  */
 ServeSummary serveSummaryFromMetrics(const obs::MetricsRegistry &metrics);
-
-Profile buildProfile(const obs::Tracer &tracer,
-                     const ProfileOptions &opts = {});
 
 /**
  * Tensors ranked by overhead charged (stalls + recompute), heaviest

@@ -1,7 +1,7 @@
 #include "prof/trace_io.hh"
 
+#include <charconv>
 #include <cmath>
-#include <cstring>
 
 #include "support/json.hh"
 
@@ -11,32 +11,19 @@ namespace capu::prof
 namespace
 {
 
-/** Inverse of eventKindName(); Marker when unrecognized. */
-obs::EventKind
-kindFromName(const std::string &name)
+/** Bounds what a malformed id can allocate; graph ids stay far below. */
+constexpr std::int64_t kMaxNamedId = std::int64_t{1} << 20;
+
+void
+keepName(std::vector<std::string> &names, std::int64_t id,
+         std::string_view name)
 {
-    using obs::EventKind;
-    static const std::pair<const char *, EventKind> table[] = {
-        {"kernel", EventKind::Kernel},
-        {"recompute", EventKind::Recompute},
-        {"transfer", EventKind::Transfer},
-        {"sync", EventKind::Sync},
-        {"stall", EventKind::Stall},
-        {"access", EventKind::Access},
-        {"oom", EventKind::OomStep},
-        {"decision", EventKind::Decision},
-        {"plan", EventKind::Plan},
-        {"tensor", EventKind::Lifetime},
-        {"sample", EventKind::Sample},
-        {"marker", EventKind::Marker},
-        {"fault", EventKind::Fault},
-        {"recovery", EventKind::Recovery},
-    };
-    for (const auto &[key, kind] : table) {
-        if (name == key)
-            return kind;
-    }
-    return EventKind::Marker;
+    if (id < 0 || id >= kMaxNamedId)
+        return;
+    auto i = static_cast<std::size_t>(id);
+    if (names.size() <= i)
+        names.resize(i + 1);
+    names[i] = name;
 }
 
 /** Exported µs (3 fractional digits) back to integer ns. */
@@ -47,6 +34,54 @@ ticksFromMicros(double us)
 }
 
 } // namespace
+
+bool
+parseLabel(std::string_view text, std::string_view cat, obs::TraceEvent &ev,
+           std::string_view &name)
+{
+    constexpr std::string_view kFail = "!fail";
+    bool failed = cat == obs::eventKindName(obs::EventKind::Transfer) &&
+                  text.ends_with(kFail);
+    if (failed)
+        text.remove_suffix(kFail.size());
+    for (std::size_t i = 0; i < std::size(obs::kLabels); ++i) {
+        const obs::LabelInfo &row = obs::kLabels[i];
+        std::string_view fixed = row.text;
+        if (cat != obs::eventKindName(row.kind))
+            continue;
+        std::string_view rest;
+        if (row.form == obs::LabelForm::Phase) {
+            // "<tensor name>:<phase>"; tensor names may hold colons.
+            auto colon = text.rfind(':');
+            if (colon == std::string_view::npos ||
+                text.substr(colon + 1) != fixed)
+                continue;
+            rest = text.substr(0, colon);
+        } else if (text.starts_with(fixed)) {
+            rest = text.substr(fixed.size());
+        } else {
+            continue;
+        }
+        if (row.form == obs::LabelForm::Plain && !rest.empty())
+            continue;
+        std::int64_t number = 0;
+        if (row.form == obs::LabelForm::Number) {
+            auto [end, ec] =
+                std::from_chars(rest.data(), rest.data() + rest.size(),
+                                number);
+            if (rest.empty() || ec != std::errc() ||
+                end != rest.data() + rest.size())
+                continue;
+            rest = {};
+        }
+        ev.label = static_cast<obs::Label>(i);
+        ev.number = number;
+        ev.failed = failed;
+        name = rest;
+        return true;
+    }
+    return false;
+}
 
 bool
 importChromeTrace(const std::string &path, TraceBundle &out,
@@ -62,7 +97,6 @@ importChromeTrace(const std::string &path, TraceBundle &out,
     }
 
     const json::Value &other = root["otherData"];
-    out.recorded = other["recorded"].asU64();
     out.dropped = other["dropped"].asU64();
     for (const std::string &key : other.keys) {
         if (key == "recorded" || key == "dropped")
@@ -77,31 +111,47 @@ importChromeTrace(const std::string &path, TraceBundle &out,
         if (ph == "M")
             continue; // process/thread metadata
         obs::TraceEvent ev;
-        ev.name = jev["name"].str;
-        ev.kind = kindFromName(jev["cat"].str);
-        ev.track = static_cast<std::uint32_t>(jev["tid"].asU64());
+        std::string_view name;
+        if (!parseLabel(jev["name"].str, jev["cat"].str, ev, name)) {
+            ++out.unknown;
+            continue;
+        }
+        ev.closes = ph == "e" && ev.kind() == obs::EventKind::Lifetime;
+        if (ph.size() != 1 ||
+            ph[0] != obs::kPhaseCodes[static_cast<int>(ev.phase())]) {
+            ++out.unknown;
+            continue;
+        }
         ev.ts = ticksFromMicros(jev["ts"].asDouble());
         const json::Value &args = jev["args"];
         ev.tensor = args.has("tensor") ? args["tensor"].asI64() : -1;
         ev.op = args.has("op") ? args["op"].asI64() : -1;
         ev.bytes = args["bytes"].asU64();
-        if (ph == "X") {
-            ev.phase = obs::EventPhase::Complete;
+        switch (ev.phase()) {
+          case obs::EventPhase::Complete:
             ev.dur = ticksFromMicros(jev["dur"].asDouble());
-        } else if (ph == "i") {
-            ev.phase = obs::EventPhase::Instant;
+            break;
+          case obs::EventPhase::Instant:
+          case obs::EventPhase::Counter:
             ev.value = args["value"].asDouble();
-        } else if (ph == "C") {
-            ev.phase = obs::EventPhase::Counter;
-            ev.value = args["value"].asDouble();
-        } else if (ph == "b" || ph == "e") {
-            ev.phase = ph == "b" ? obs::EventPhase::SpanBegin
-                                 : obs::EventPhase::SpanEnd;
+            break;
+          case obs::EventPhase::SpanBegin:
+          case obs::EventPhase::SpanEnd:
             ev.tensor = jev["id"].asI64();
-        } else {
-            continue; // unknown phase: skip rather than reject
+            break;
         }
-        out.events.push_back(std::move(ev));
+        switch (obs::labelInfo(ev.label).form) {
+          case obs::LabelForm::Tensor:
+          case obs::LabelForm::Phase:
+            keepName(out.names.tensors, ev.tensor, name);
+            break;
+          case obs::LabelForm::Op:
+            keepName(out.names.ops, ev.op, name);
+            break;
+          default:
+            break;
+        }
+        out.events.push_back(ev);
     }
     return true;
 }

@@ -34,13 +34,12 @@ PcieLink::degradedTransferTime(std::uint64_t bytes, Tick start) const
 
 std::optional<Tick>
 PcieLink::tryTransfer(CopyDir dir, std::uint64_t bytes, Tick ready,
-                      std::string label, std::int64_t tensor)
+                      obs::Label label, std::int64_t tensor)
 {
     Stream &ln = lane(dir);
-    if (!faultsOn()) {
-        return ln.enqueue(ready, transferTime(bytes), std::move(label),
-                          obs::EventKind::Transfer, tensor, -1, bytes);
-    }
+    obs::TraceEvent ev{.label = label, .tensor = tensor, .bytes = bytes};
+    if (!faultsOn())
+        return ln.enqueue(ready, transferTime(bytes), ev);
     Tick nominal = transferTime(bytes);
     Tick at = ready;
     int budget = faults_->spec().swapRetries;
@@ -50,29 +49,29 @@ PcieLink::tryTransfer(CopyDir dir, std::uint64_t bytes, Tick ready,
         if (!faults_->swapAttemptFails()) {
             if (dur > nominal) {
                 ++faults_->stats().degradedTransfers;
-                faults_->noteFault(start, "fault.pcie.degraded", tensor,
-                                   bytes);
+                faults_->note(obs::Label::PcieDegraded, start, tensor,
+                              bytes);
             }
-            return ln.enqueue(at, dur, std::move(label),
-                              obs::EventKind::Transfer, tensor, -1, bytes);
+            return ln.enqueue(at, dur, ev);
         }
         // The failed attempt occupies the lane for its wire time, then
         // aborts; the payload never lands.
         ++faults_->stats().swapAttemptFailures;
-        faults_->noteFault(start, "fault.swap.attempt", tensor, bytes);
-        ln.enqueue(at, dur, label + "!fail", obs::EventKind::Transfer,
-                   tensor, -1, bytes);
+        faults_->note(obs::Label::SwapAttempt, start, tensor, bytes);
+        obs::TraceEvent failed = ev;
+        failed.failed = true;
+        ln.enqueue(at, dur, failed);
         if (attempt >= budget)
             return std::nullopt;
         ++faults_->stats().swapRetries;
         at = ln.busyUntil() + faults_->retryBackoff(attempt);
-        faults_->noteRecovery(at, "recovery.swap-retry", tensor, bytes);
+        faults_->note(obs::Label::SwapRetry, at, tensor, bytes);
     }
 }
 
 Tick
 PcieLink::transfer(CopyDir dir, std::uint64_t bytes, Tick ready,
-                   std::string label, std::int64_t tensor)
+                   obs::Label label, std::int64_t tensor)
 {
     if (auto done = tryTransfer(dir, bytes, ready, label, tensor))
         return *done;
@@ -82,9 +81,9 @@ PcieLink::transfer(CopyDir dir, std::uint64_t bytes, Tick ready,
     ++faults_->stats().swapForced;
     Stream &ln = lane(dir);
     Tick at = std::max(ready, ln.busyUntil());
-    faults_->noteRecovery(at, "recovery.swap-forced", tensor, bytes);
-    return ln.enqueue(at, degradedTransferTime(bytes, at), std::move(label),
-                      obs::EventKind::Transfer, tensor, -1, bytes);
+    faults_->note(obs::Label::SwapForced, at, tensor, bytes);
+    return ln.enqueue(at, degradedTransferTime(bytes, at),
+                      {.label = label, .tensor = tensor, .bytes = bytes});
 }
 
 void

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "faults/fault_engine.hh"
 #include "sim/stream.hh"
@@ -58,10 +57,10 @@ class PcieLink
      * is forced through (counted in FaultStats::swapForced) — data that
      * must move eventually does.
      * @param ready Earliest start (data-production dependency).
-     * @param tensor Optional tensor id for the trace event.
+     * @param label,tensor The transfer's trace label and tensor id.
      */
     Tick transfer(CopyDir dir, std::uint64_t bytes, Tick ready,
-                  std::string label, std::int64_t tensor = -1);
+                  obs::Label label, std::int64_t tensor = -1);
 
     /**
      * Like transfer(), but gives up after the retry budget: returns
@@ -69,7 +68,7 @@ class PcieLink
      * recompute-eviction). Identical to transfer() without faults.
      */
     std::optional<Tick> tryTransfer(CopyDir dir, std::uint64_t bytes,
-                                    Tick ready, std::string label,
+                                    Tick ready, obs::Label label,
                                     std::int64_t tensor = -1);
 
     /** Route both lanes into `tracer` (D2H/H2D tracks); nullptr detaches. */

@@ -6,18 +6,18 @@ namespace capu
 {
 
 Tick
-Stream::enqueue(Tick ready, Tick duration, std::string label,
-                obs::EventKind kind, std::int64_t tensor, std::int64_t op,
-                std::uint64_t bytes)
+Stream::enqueue(Tick ready, Tick duration, obs::TraceEvent ev)
 {
     Tick start = std::max(ready, busyUntil_);
     Tick end = start + duration;
     lastStart_ = start;
     busyUntil_ = end;
     busyTicks_ += duration;
-    if (tracer_)
-        tracer_->complete(track_, kind, start, duration, std::move(label),
-                          tensor, op, bytes);
+    if (tracer_) {
+        ev.ts = start;
+        ev.dur = duration;
+        tracer_->emit(ev);
+    }
     return end;
 }
 
@@ -25,9 +25,8 @@ void
 Stream::attachTracer(obs::Tracer *tracer, std::uint32_t track)
 {
     tracer_ = tracer;
-    track_ = track;
     if (tracer_)
-        tracer_->setTrackName(track_, name_);
+        tracer_->setTrackName(track, name_);
 }
 
 void

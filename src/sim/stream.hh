@@ -37,19 +37,16 @@ class Stream
      *
      * @param ready Earliest tick the item may start (its dependencies).
      * @param duration Occupancy of the stream.
-     * @param label Tag recorded in the trace event.
-     * @param kind Trace category for the emitted Complete event.
-     * @param tensor,op,bytes Optional trace annotations.
+     * @param ev The trace event recorded for the item; its start and
+     *        duration are filled in here.
      * @return Completion tick: max(ready, busyUntil()) + duration.
      */
-    Tick enqueue(Tick ready, Tick duration, std::string label,
-                 obs::EventKind kind = obs::EventKind::Kernel,
-                 std::int64_t tensor = -1, std::int64_t op = -1,
-                 std::uint64_t bytes = 0);
+    Tick enqueue(Tick ready, Tick duration, obs::TraceEvent ev);
 
     /**
-     * Route occupancy intervals into `tracer` on trace track `track`.
-     * Pass nullptr to detach. Attachment never changes timing.
+     * Route occupancy intervals into `tracer` and name trace track `track`
+     * after this stream (the events' labels place them on it). Pass
+     * nullptr to detach. Attachment never changes timing.
      */
     void attachTracer(obs::Tracer *tracer, std::uint32_t track);
 
@@ -98,7 +95,6 @@ class Stream
     Tick lastStart_ = 0;
     Tick busyTicks_ = 0;
     obs::Tracer *tracer_ = nullptr;
-    std::uint32_t track_ = obs::kTrackHost;
 };
 
 } // namespace capu

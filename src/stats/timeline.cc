@@ -21,8 +21,8 @@ renderTimeline(std::ostream &os, const obs::Tracer &tracer,
     for (const auto &row : tracks) {
         std::string cells(width, '.');
         tracer.forEach([&](const obs::TraceEvent &ev) {
-            if (ev.phase != obs::EventPhase::Complete ||
-                ev.track != row.track)
+            if (ev.phase() != obs::EventPhase::Complete ||
+                ev.track() != row.track)
                 return;
             Tick iv_end = ev.ts + ev.dur;
             if (iv_end <= begin || ev.ts >= end)
@@ -52,7 +52,7 @@ trackUtilization(const obs::Tracer &tracer, std::uint32_t track, Tick begin,
         return 0;
     Tick busy = 0;
     tracer.forEach([&](const obs::TraceEvent &ev) {
-        if (ev.phase != obs::EventPhase::Complete || ev.track != track)
+        if (ev.phase() != obs::EventPhase::Complete || ev.track() != track)
             return;
         Tick iv_end = ev.ts + ev.dur;
         if (iv_end <= begin || ev.ts >= end)

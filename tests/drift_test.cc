@@ -381,6 +381,60 @@ TEST(DriftVerify, DynamicTracesRaceFreeAndTimestampConsistent)
 
 // --- max-batch search over a dynamic workload -------------------------
 
+TEST(DriftAdaptation, WithinFifteenPercentOfPerShapeOracle)
+{
+    // Bounded degradation: an adaptive session over a dynamic schedule
+    // (two passes) costs at most 15% more simulated time than the oracle
+    // that bills every iteration at its class's steady state, measured by
+    // pinned single-class sessions on the same union graph. Simulated
+    // ticks, so the floor is exact. Recorded gaps: 0, 7.3% and 0.
+    struct Case
+    {
+        WorkloadKind kind;
+        const char *model;
+        std::int64_t batch;
+    };
+    const Case kCases[] = {
+        {WorkloadKind::Varlen, "bert", 48},
+        {WorkloadKind::BatchRamp, "resnet50", 256},
+        {WorkloadKind::Branchy, "", 256},
+    };
+    for (const Case &c : kCases) {
+        SCOPED_TRACE(std::string(workloadName(c.kind)) + "/" + c.model);
+        DynamicWorkload dw = buildWorkload(c.kind, c.model, c.batch, 0);
+        const std::vector<std::size_t> &sched = dw.schedule;
+        int iters = static_cast<int>(sched.size()) * 2;
+
+        Session adaptive(Graph(dw.graph), driftConfig(dw),
+                         makeCapuchinPolicy());
+        SessionResult ra = adaptive.run(iters);
+        ASSERT_FALSE(ra.oom) << ra.oomMessage;
+        Tick adaptive_ticks = 0;
+        for (const IterationStats &it : ra.iterations)
+            adaptive_ticks += it.duration();
+
+        std::vector<Tick> steady(dw.graph.variants().size(), 0);
+        for (std::size_t k = 0; k < steady.size(); ++k) {
+            ExecConfig pc;
+            pc.variantSchedule = {k};
+            Session pinned(Graph(dw.graph), pc, makeCapuchinPolicy());
+            SessionResult rp = pinned.run(8);
+            ASSERT_FALSE(rp.oom) << "class " << k << ": " << rp.oomMessage;
+            steady[k] = rp.steadyIterationTicks(3);
+        }
+        Tick oracle_ticks = 0;
+        for (int i = 0; i < iters; ++i)
+            oracle_ticks += steady[sched[static_cast<std::size_t>(i) %
+                                         sched.size()]];
+
+        ASSERT_GT(oracle_ticks, 0u);
+        double gap = static_cast<double>(adaptive_ticks) /
+                         static_cast<double>(oracle_ticks) -
+                     1.0;
+        EXPECT_LE(gap, 0.15);
+    }
+}
+
 TEST(DriftMaxBatch, WitnessHoldsUnderTrueSchedule)
 {
     DynamicWorkload probe = buildVarlenLstm(1, 0);

@@ -381,8 +381,7 @@ TEST(Executor, TraceRecordsKernels)
     ex.runIteration();
     std::size_t kernels = 0;
     ex.obs().tracer.forEach([&](const obs::TraceEvent &ev) {
-        if (ev.track == obs::kTrackCompute &&
-            ev.kind == obs::EventKind::Kernel)
+        if (ev.label == obs::Label::Kernel)
             ++kernels;
     });
     EXPECT_EQ(kernels, cg.graph.numOps());

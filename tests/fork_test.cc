@@ -176,18 +176,15 @@ expectTracesEqual(const obs::Tracer &a, const obs::Tracer &b)
     for (std::size_t i = 0; i < ea.size(); ++i) {
         const obs::TraceEvent &x = *ea[i];
         const obs::TraceEvent &y = *eb[i];
-        EXPECT_EQ(x.ts, y.ts) << "event " << i << " (" << x.name << ")";
-        EXPECT_EQ(x.dur, y.dur) << "event " << i << " (" << x.name << ")";
-        EXPECT_EQ(x.track, y.track) << "event " << i;
-        EXPECT_EQ(static_cast<int>(x.phase), static_cast<int>(y.phase))
-            << "event " << i;
-        EXPECT_EQ(static_cast<int>(x.kind), static_cast<int>(y.kind))
-            << "event " << i;
+        EXPECT_EQ(x.label, y.label) << "event " << i;
+        EXPECT_EQ(x.ts, y.ts) << "event " << i;
+        EXPECT_EQ(x.dur, y.dur) << "event " << i;
         EXPECT_EQ(x.tensor, y.tensor) << "event " << i;
         EXPECT_EQ(x.op, y.op) << "event " << i;
         EXPECT_EQ(x.bytes, y.bytes) << "event " << i;
         EXPECT_EQ(x.value, y.value) << "event " << i;
-        EXPECT_EQ(x.name, y.name) << "event " << i;
+        // Backs up the list above with every other field.
+        EXPECT_TRUE(x == y) << "event " << i;
     }
 }
 

@@ -57,7 +57,7 @@ TEST(Tracer, RingDropsOldest)
     obs::Tracer tracer(4);
     tracer.setEnabled(true);
     for (Tick t = 0; t < 10; ++t)
-        tracer.instant(obs::kTrackHost, obs::EventKind::Marker, t, "m");
+        tracer.emit({.label = obs::Label::IterBegin, .ts = t});
     EXPECT_EQ(tracer.size(), 4u);
     EXPECT_EQ(tracer.recorded(), 10u);
     EXPECT_EQ(tracer.dropped(), 6u);
@@ -71,33 +71,33 @@ TEST(Tracer, ChronologicalSortsByTimestamp)
 {
     obs::Tracer tracer;
     tracer.setEnabled(true);
-    tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 30, "c");
-    tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 10, "a");
-    tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 20, "b");
+    tracer.emit({.label = obs::Label::IterBegin, .ts = 30, .number = 3});
+    tracer.emit({.label = obs::Label::IterBegin, .ts = 10, .number = 1});
+    tracer.emit({.label = obs::Label::IterBegin, .ts = 20, .number = 2});
     auto evs = tracer.chronological();
     ASSERT_EQ(evs.size(), 3u);
-    EXPECT_EQ(evs[0].name, "a");
-    EXPECT_EQ(evs[1].name, "b");
-    EXPECT_EQ(evs[2].name, "c");
+    EXPECT_EQ(evs[0].number, 1);
+    EXPECT_EQ(evs[1].number, 2);
+    EXPECT_EQ(evs[2].number, 3);
 }
 
 TEST(Tracer, ChronologicalCacheInvalidatedByRecordAndClear)
 {
     obs::Tracer tracer;
     tracer.setEnabled(true);
-    tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 20, "b");
-    tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 10, "a");
+    tracer.emit({.label = obs::Label::IterBegin, .ts = 20, .number = 2});
+    tracer.emit({.label = obs::Label::IterBegin, .ts = 10, .number = 1});
     const auto &first = tracer.chronological();
     ASSERT_EQ(first.size(), 2u);
     // Cached: repeated calls hand back the same vector, no re-sort.
     EXPECT_EQ(&tracer.chronological(), &first);
     // A new record invalidates the cache...
-    tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 15, "c");
+    tracer.emit({.label = obs::Label::IterBegin, .ts = 15, .number = 3});
     const auto &second = tracer.chronological();
     ASSERT_EQ(second.size(), 3u);
-    EXPECT_EQ(second[0].name, "a");
-    EXPECT_EQ(second[1].name, "c");
-    EXPECT_EQ(second[2].name, "b");
+    EXPECT_EQ(second[0].number, 1);
+    EXPECT_EQ(second[1].number, 3);
+    EXPECT_EQ(second[2].number, 2);
     // ...and so does clear().
     tracer.clear();
     EXPECT_TRUE(tracer.chronological().empty());
@@ -122,7 +122,7 @@ TEST(Tracer, DroppedSurfacesAsMetricCounter)
 TEST(Tracer, DisabledDropsEverything)
 {
     obs::Tracer tracer;
-    tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 1, "m");
+    tracer.emit({.label = obs::Label::IterBegin, .ts = 1});
     EXPECT_EQ(tracer.size(), 0u);
     EXPECT_EQ(tracer.recorded(), 0u);
 }
@@ -176,7 +176,8 @@ TEST(ChromeTrace, Vgg16TraceIsValidJson)
 {
     Session &s = tracedVgg16();
     std::ostringstream os;
-    obs::writeChromeTrace(os, s.executor().obs().tracer);
+    obs::writeChromeTrace(os, s.executor().obs().tracer,
+                          traceNames(s.graph()));
     std::string text = os.str();
 
     Json root;
@@ -223,7 +224,8 @@ TEST(ChromeTrace, LifetimeSpansNestCorrectly)
 {
     Session &s = tracedVgg16();
     std::ostringstream os;
-    obs::writeChromeTrace(os, s.executor().obs().tracer);
+    obs::writeChromeTrace(os, s.executor().obs().tracer,
+                          traceNames(s.graph()));
     Json root;
     ASSERT_TRUE(json::parse(os.str(), root));
 
@@ -348,8 +350,8 @@ TEST(ObsInvariants, KernelEventsMatchKernelBusy)
     Session &s = tracedVgg16();
     Tick traced = 0;
     s.executor().obs().tracer.forEach([&](const obs::TraceEvent &ev) {
-        if (ev.track == obs::kTrackCompute &&
-            ev.phase == obs::EventPhase::Complete)
+        if (ev.track() == obs::kTrackCompute &&
+            ev.phase() == obs::EventPhase::Complete)
             traced += ev.dur;
     });
     Tick stats = 0;

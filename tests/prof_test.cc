@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -16,6 +19,8 @@
 
 #include "core/capuchin_policy.hh"
 #include "exec/session.hh"
+#include "faults/fault_spec.hh"
+#include "models/workload.hh"
 #include "models/zoo.hh"
 #include "obs/chrome_trace.hh"
 #include "policy/checkpointing_policy.hh"
@@ -69,7 +74,8 @@ runAndProfile(ModelKind kind, std::int64_t batch, const std::string &policy,
     Session s(buildModel(kind, batch), cfg, makePolicy(policy));
     SessionResult r = s.run(iters);
     EXPECT_FALSE(r.oom) << r.oomMessage;
-    return prof::buildProfile(s.executor().obs().tracer);
+    return prof::buildProfile(s.executor().obs().tracer,
+                              traceNames(s.graph()));
 }
 
 std::string
@@ -252,8 +258,10 @@ TEST(ProfReplay, Replayed100IterProfileBitIdenticalToExecuted)
     ASSERT_FALSE(roff.oom) << roff.oomMessage;
     ASSERT_GT(ron.replay.replayed, 0);
 
-    prof::Profile pon = prof::buildProfile(son.executor().obs().tracer);
-    prof::Profile poff = prof::buildProfile(soff.executor().obs().tracer);
+    prof::Profile pon = prof::buildProfile(son.executor().obs().tracer,
+                                           traceNames(son.graph()));
+    prof::Profile poff = prof::buildProfile(soff.executor().obs().tracer,
+                                            traceNames(soff.graph()));
     ASSERT_EQ(pon.iterations.size(), static_cast<std::size_t>(kIters));
 
     // The replay track is excluded from attribution, so a mostly
@@ -296,34 +304,186 @@ TEST(ProfRoundTrip, ProfileJson)
 
 TEST(ProfRoundTrip, ChromeTraceImportMatchesLiveRing)
 {
-    Session s(buildModel(ModelKind::Vgg16, 230), tracedConfig(),
-              makeCapuchinPolicy());
-    SessionResult r = s.run(3);
-    ASSERT_FALSE(r.oom) << r.oomMessage;
-    const obs::Tracer &tracer = s.executor().obs().tracer;
+    // One input per family of labels: plain capuchin (kernels, swaps,
+    // spans, plan and trigger decisions), a chaos plan (failed transfers,
+    // fault and recovery labels), a dynamic workload (drift markers),
+    // vDNN (blocking syncs) and a replay-armed run (replay markers and
+    // re-numbered iteration markers).
+    struct Case
+    {
+        const char *name;
+        std::function<Session()> make;
+        int iters;
+        std::function<bool(const obs::TraceEvent &)> family;
+    };
+    auto capu = [] { return makeCapuchinPolicy(); };
+    auto vgg = [] { return buildModel(ModelKind::Vgg16, 230); };
+    DynamicWorkload dw =
+        buildWorkload(WorkloadKind::Varlen, "bert", 48, /*seed=*/7);
+    std::vector<Case> cases = {
+        {"capuchin", [&] { return Session(vgg(), tracedConfig(), capu()); },
+         3,
+         [](const obs::TraceEvent &ev) {
+             return ev.label == obs::Label::PlanBuild;
+         }},
+        {"chaos",
+         [&] {
+             ExecConfig cfg = tracedConfig();
+             cfg.faults = faults::parseFaultSpec(
+                 "hostcap:4GiB;hostfail:p=0.05;swapfail:p=0.05,retries=3");
+             cfg.seed = 42;
+             return Session(vgg(), cfg, capu());
+         },
+         4,
+         [](const obs::TraceEvent &ev) { return ev.failed; }},
+        {"drift",
+         [&] {
+             ExecConfig cfg = tracedConfig();
+             cfg.variantSchedule = dw.schedule;
+             return Session(Graph(dw.graph), cfg, capu());
+         },
+         12,
+         [](const obs::TraceEvent &ev) {
+             return ev.label == obs::Label::DriftClass;
+         }},
+        {"vdnn",
+         [&] {
+             return Session(vgg(), tracedConfig(), makePolicy("vdnn"));
+         },
+         3,
+         [](const obs::TraceEvent &ev) {
+             return ev.label == obs::Label::BlockingSwap;
+         }},
+        {"replay",
+         [&] {
+             ExecConfig cfg = tracedConfig();
+             cfg.replay.enabled = true;
+             return Session(vgg(), cfg, capu());
+         },
+         20,
+         [](const obs::TraceEvent &ev) {
+             return ev.label == obs::Label::ReplayIter;
+         }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        Session s = c.make();
+        SessionResult r = s.run(c.iters);
+        ASSERT_FALSE(r.oom) << r.oomMessage;
+        const obs::Tracer &tracer = s.executor().obs().tracer;
+        ASSERT_EQ(tracer.dropped(), 0u);
+        const auto &live_events = tracer.chronological();
+        EXPECT_TRUE(std::any_of(live_events.begin(), live_events.end(),
+                                c.family))
+            << "input lacks the label family it stands for";
 
-    std::string path = tempPath("prof_trace.json");
-    ASSERT_TRUE(obs::writeChromeTraceFile(path, tracer));
+        obs::Names names = traceNames(s.graph());
+        std::string path = tempPath("prof_trace.json");
+        ASSERT_TRUE(obs::writeChromeTraceFile(path, tracer, names));
+        prof::TraceBundle bundle;
+        std::string err;
+        ASSERT_TRUE(prof::importChromeTrace(path, bundle, &err)) << err;
+        std::remove(path.c_str());
+        EXPECT_EQ(bundle.unknown, 0u);
+        EXPECT_EQ(bundle.meta, tracer.meta());
+        // Every label parses back to the event it was formatted from.
+        ASSERT_EQ(bundle.events.size(), live_events.size());
+        for (std::size_t i = 0; i < live_events.size(); ++i)
+            ASSERT_TRUE(bundle.events[i] == live_events[i]) << "event " << i;
 
+        // The export is lossless, so the profile built from the file must
+        // be bit-identical to the one built from the live ring.
+        prof::ProfileOptions popts;
+        popts.droppedEvents = bundle.dropped;
+        popts.meta = bundle.meta;
+        prof::Profile from_file =
+            prof::buildProfile(bundle.events, bundle.names, popts);
+        prof::Profile live = prof::buildProfile(tracer, names);
+        prof::ProfileDiff d = prof::diffProfiles(live, from_file);
+        EXPECT_TRUE(d.identical)
+            << "first diverging iteration " << d.firstDivergingIteration;
+        EXPECT_EQ(from_file.peakBytes, live.peakBytes);
+        EXPECT_EQ(from_file.critical.makespan, live.critical.makespan);
+        ASSERT_EQ(from_file.iterations.size(), live.iterations.size());
+        for (std::size_t i = 0; i < live.iterations.size(); ++i)
+            EXPECT_EQ(from_file.iterations[i].digest,
+                      live.iterations[i].digest)
+                << "iteration " << i;
+    }
+}
+
+TEST(ProfRoundTrip, EveryLabelFormatsAndParsesBack)
+{
+    // Names with colons, like the zoo's "relu_1:out", must survive the
+    // Phase form's split at the last colon.
+    obs::Names names;
+    names.tensors = {"t0", "relu_1:out"};
+    names.ops = {"conv_1", "add_grad:relu_1:out"};
+    for (std::size_t i = 0; i < std::size(obs::kLabels); ++i) {
+        for (bool failed : {false, true}) {
+            obs::TraceEvent ev;
+            ev.label = static_cast<obs::Label>(i);
+            if (failed && ev.kind() != obs::EventKind::Transfer)
+                continue;
+            ev.tensor = 1;
+            ev.op = 1;
+            ev.number = 17;
+            ev.failed = failed;
+            std::string text;
+            obs::formatLabel(text, ev, names);
+            SCOPED_TRACE(text);
+
+            obs::TraceEvent back;
+            std::string_view name;
+            ASSERT_TRUE(prof::parseLabel(
+                text, obs::eventKindName(ev.kind()), back, name));
+            EXPECT_EQ(back.label, ev.label);
+            EXPECT_EQ(back.failed, failed);
+            switch (obs::labelInfo(ev.label).form) {
+              case obs::LabelForm::Plain:
+                EXPECT_EQ(name, "");
+                break;
+              case obs::LabelForm::Number:
+                EXPECT_EQ(back.number, 17);
+                EXPECT_EQ(name, "");
+                break;
+              case obs::LabelForm::Tensor:
+              case obs::LabelForm::Phase:
+                EXPECT_EQ(name, "relu_1:out");
+                break;
+              case obs::LabelForm::Op:
+                EXPECT_EQ(name, "add_grad:relu_1:out");
+                break;
+            }
+        }
+    }
+}
+
+TEST(ProfRoundTrip, UnknownLabelsAreSkipped)
+{
+    // A label no table row produces, a known label under the wrong
+    // category, a Number label without a number and a known label with
+    // the wrong phase are each skipped and counted; the rest imports.
+    std::string path = tempPath("prof_unknown.json");
+    {
+        std::ofstream os(path);
+        os << R"({"traceEvents":[
+{"name":"mystery.event","cat":"marker","tid":0,"ts":1,"ph":"i"},
+{"name":"stall:x","cat":"recovery","tid":7,"ts":2,"ph":"X","dur":1},
+{"name":"iter:abc","cat":"marker","tid":0,"ts":3,"ph":"i"},
+{"name":"oom.raise","cat":"oom","tid":0,"ts":4,"ph":"e","id":1},
+{"name":"iter:3","cat":"marker","tid":0,"ts":5,"ph":"i"}
+],"otherData":{"recorded":5,"dropped":0}})";
+    }
     prof::TraceBundle bundle;
     std::string err;
     ASSERT_TRUE(prof::importChromeTrace(path, bundle, &err)) << err;
     std::remove(path.c_str());
-    EXPECT_EQ(bundle.events.size(), tracer.chronological().size());
-    EXPECT_EQ(bundle.meta, tracer.meta());
-
-    // The export is lossless, so the profile built from the file must be
-    // bit-identical to the one built from the live ring.
-    prof::ProfileOptions popts;
-    popts.droppedEvents = bundle.dropped;
-    popts.meta = bundle.meta;
-    prof::Profile from_file = prof::buildProfile(bundle.events, popts);
-    prof::Profile live = prof::buildProfile(tracer);
-    prof::ProfileDiff d = prof::diffProfiles(live, from_file);
-    EXPECT_TRUE(d.identical)
-        << "first diverging iteration " << d.firstDivergingIteration;
-    EXPECT_EQ(from_file.peakBytes, live.peakBytes);
-    EXPECT_EQ(from_file.critical.makespan, live.critical.makespan);
+    EXPECT_EQ(bundle.unknown, 4u);
+    ASSERT_EQ(bundle.events.size(), 1u);
+    EXPECT_EQ(bundle.events[0].label, obs::Label::IterBegin);
+    EXPECT_EQ(bundle.events[0].number, 3);
+    EXPECT_EQ(bundle.events[0].ts, 5000u);
 }
 
 // --- rendering ----------------------------------------------------------

@@ -322,13 +322,11 @@ TEST(ReplayTrace, SynthesizedIterationsReEmitEvents)
 
     bool saw_replay_mark = false;
     bool saw_last_iteration_marker = false;
-    std::string last = "iteration:" + std::to_string(kIters - 1);
     const obs::Tracer &tracer = s.executor().obs().tracer;
     tracer.forEach([&](const obs::TraceEvent &ev) {
-        if (ev.track == obs::kTrackReplay &&
-            ev.name.rfind("replay.iter:", 0) == 0)
+        if (ev.label == obs::Label::ReplayIter)
             saw_replay_mark = true;
-        if (ev.name == last) {
+        if (ev.label == obs::Label::Iteration && ev.number == kIters - 1) {
             saw_last_iteration_marker = true;
             // Re-emitted with shifted ticks: the marker must sit at the
             // synthesized iteration's true begin.
@@ -338,6 +336,37 @@ TEST(ReplayTrace, SynthesizedIterationsReEmitEvents)
     });
     EXPECT_TRUE(saw_replay_mark);
     EXPECT_TRUE(saw_last_iteration_marker);
+}
+
+TEST(ReplayTrace, ArmingIndependentOfObsLevel)
+{
+    // VGG-16 records about 900 events per iteration, so an 8192-slot ring
+    // starts wrapping after replay has armed. The ring's drop count
+    // describes the observer, not the simulation: it must not move the
+    // fixed point, the audits or any iteration's stats.
+    constexpr int kIters = 60;
+    ExecConfig full = replayConfig(true, obs::ObsLevel::Full);
+    full.obsRingCapacity = 8192;
+    Session sm(buildModel(ModelKind::Vgg16, 230), replayConfig(true),
+               makeCapuchinPolicy());
+    Session sf(buildModel(ModelKind::Vgg16, 230), full,
+               makeCapuchinPolicy());
+    SessionResult rm = sm.run(kIters);
+    SessionResult rf = sf.run(kIters);
+    ASSERT_FALSE(rm.oom) << rm.oomMessage;
+    ASSERT_FALSE(rf.oom) << rf.oomMessage;
+    const obs::Obs &o = sf.executor().obs();
+    ASSERT_GT(o.tracer.dropped(), 0u);
+    ASSERT_GT(rm.replay.replayed, 0);
+    EXPECT_EQ(rf.replay.executed, rm.replay.executed);
+    EXPECT_EQ(rf.replay.replayed, rm.replay.replayed);
+    EXPECT_EQ(rf.replay.audits, rm.replay.audits);
+    EXPECT_EQ(rf.replay.auditMismatches, 0);
+    EXPECT_TRUE(rf.replay == rm.replay);
+    expectIterationsEqual(rm, rf);
+    // Synthesized iterations read the drop count from the live tracer.
+    EXPECT_EQ(o.metrics.counter(obs::kTraceDroppedCounter),
+              o.tracer.dropped());
 }
 
 // --- fault plans force replay off --------------------------------------

@@ -292,6 +292,25 @@ TEST(PlanIo, RejectsTruncatedPayload)
     EXPECT_TRUE(out.items.empty());
 }
 
+TEST(PlanIo, RejectsOversizedItemCount)
+{
+    // Bytes 28..35 hold the item count. A corrupt high byte once made
+    // loadPlan reserve ~2^55 items and abort with std::bad_alloc.
+    std::uint64_t fp = 0;
+    Plan plan = capuchinPlan(kZoo[0], &fp);
+    std::ostringstream os;
+    serializePlan(os, plan, fp);
+    std::string bytes = os.str();
+    ASSERT_GT(bytes.size(), 36u);
+    bytes[34] = static_cast<char>(0x7f);
+    std::istringstream is(bytes);
+    Plan out;
+    PlanLoadStatus status = PlanLoadStatus::Ok;
+    EXPECT_NO_THROW(status = loadPlan(is, out, fp));
+    EXPECT_EQ(status, PlanLoadStatus::Truncated);
+    EXPECT_TRUE(out.items.empty());
+}
+
 TEST(PlanIo, RejectsCorruptedPayload)
 {
     std::uint64_t fp = 0;

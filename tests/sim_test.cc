@@ -117,17 +117,17 @@ TEST(EventQueue, PendingCount)
 TEST(Stream, SerializesWork)
 {
     Stream s("test");
-    EXPECT_EQ(s.enqueue(0, 100, "a"), 100u);
+    EXPECT_EQ(s.enqueue(0, 100, {}), 100u);
     // Ready at 50 but the stream is busy until 100.
-    EXPECT_EQ(s.enqueue(50, 10, "b"), 110u);
+    EXPECT_EQ(s.enqueue(50, 10, {}), 110u);
 }
 
 TEST(Stream, RespectsReadyTime)
 {
     Stream s("test");
-    s.enqueue(0, 10, "a");
+    s.enqueue(0, 10, {});
     // Ready long after the stream drains: idle gap.
-    EXPECT_EQ(s.enqueue(100, 10, "b"), 110u);
+    EXPECT_EQ(s.enqueue(100, 10, {}), 110u);
     EXPECT_EQ(s.lastStart(), 100u);
 }
 
@@ -137,13 +137,14 @@ TEST(Stream, EmitsTraceEvents)
     tracer.setEnabled(true);
     Stream s("test");
     s.attachTracer(&tracer, obs::kTrackCompute);
-    s.enqueue(0, 10, "a");
-    s.enqueue(20, 5, "b");
+    s.enqueue(0, 10, {.label = obs::Label::Kernel, .op = 3});
+    s.enqueue(20, 5, {.label = obs::Label::Kernel, .op = 4});
     std::vector<obs::TraceEvent> evs;
     tracer.forEach([&](const obs::TraceEvent &ev) { evs.push_back(ev); });
     ASSERT_EQ(evs.size(), 2u);
-    EXPECT_EQ(evs[0].name, "a");
-    EXPECT_EQ(evs[0].track, obs::kTrackCompute);
+    EXPECT_EQ(evs[0].label, obs::Label::Kernel);
+    EXPECT_EQ(evs[0].op, 3);
+    EXPECT_EQ(evs[0].track(), obs::kTrackCompute);
     EXPECT_EQ(evs[1].ts, 20u);
     EXPECT_EQ(evs[1].dur, 5u);
     EXPECT_EQ(s.busyTime(), 15u);
@@ -159,7 +160,7 @@ TEST(Stream, NoTracerNoEvents)
 {
     // Timing semantics identical whether or not a tracer is attached.
     Stream s("test");
-    s.enqueue(0, 10, "a");
+    s.enqueue(0, 10, {});
     EXPECT_EQ(s.busyUntil(), 10u);
     EXPECT_EQ(s.busyTime(), 10u);
 }
@@ -169,7 +170,7 @@ TEST(Stream, DisabledTracerRecordsNothing)
     obs::Tracer tracer; // disabled by default
     Stream s("test");
     s.attachTracer(&tracer, obs::kTrackCompute);
-    s.enqueue(0, 10, "a");
+    s.enqueue(0, 10, {});
     EXPECT_EQ(tracer.size(), 0u);
     EXPECT_EQ(s.busyUntil(), 10u);
 }
@@ -177,7 +178,7 @@ TEST(Stream, DisabledTracerRecordsNothing)
 TEST(Stream, Reset)
 {
     Stream s("test");
-    s.enqueue(0, 10, "a");
+    s.enqueue(0, 10, {});
     s.reset();
     EXPECT_EQ(s.busyUntil(), 0u);
     EXPECT_EQ(s.busyTime(), 0u);
@@ -196,8 +197,11 @@ TEST(Pcie, TransferTimeIsLatencyPlusBandwidth)
 TEST(Pcie, SameDirectionSerializes)
 {
     PcieLink link(1e9, 0);
-    Tick t1 = link.transfer(CopyDir::DeviceToHost, 1000, 0, "a"); // 1000 ns
-    Tick t2 = link.transfer(CopyDir::DeviceToHost, 1000, 0, "b");
+    // 1000 ns each.
+    Tick t1 = link.transfer(CopyDir::DeviceToHost, 1000, 0,
+                            obs::Label::SwapOut);
+    Tick t2 = link.transfer(CopyDir::DeviceToHost, 1000, 0,
+                            obs::Label::SwapOut);
     EXPECT_EQ(t1, 1000u);
     EXPECT_EQ(t2, 2000u); // waits for predecessor (paper section 4.4)
 }
@@ -205,8 +209,10 @@ TEST(Pcie, SameDirectionSerializes)
 TEST(Pcie, OppositeDirectionsConcurrent)
 {
     PcieLink link(1e9, 0);
-    Tick out = link.transfer(CopyDir::DeviceToHost, 1000, 0, "out");
-    Tick in = link.transfer(CopyDir::HostToDevice, 1000, 0, "in");
+    Tick out = link.transfer(CopyDir::DeviceToHost, 1000, 0,
+                             obs::Label::SwapOut);
+    Tick in = link.transfer(CopyDir::HostToDevice, 1000, 0,
+                            obs::Label::SwapIn);
     EXPECT_EQ(out, 1000u);
     EXPECT_EQ(in, 1000u); // no interference
 }
@@ -219,7 +225,7 @@ TEST(Pcie, ZeroBandwidthIsFatal)
 TEST(Pcie, LaneBusyQuery)
 {
     PcieLink link(1e9, 0);
-    link.transfer(CopyDir::DeviceToHost, 5000, 0, "x");
+    link.transfer(CopyDir::DeviceToHost, 5000, 0, obs::Label::SwapOut);
     EXPECT_EQ(link.laneBusyUntil(CopyDir::DeviceToHost), 5000u);
     EXPECT_EQ(link.laneBusyUntil(CopyDir::HostToDevice), 0u);
 }

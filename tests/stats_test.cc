@@ -13,16 +13,18 @@ using namespace capu;
 namespace
 {
 
-/** Tracer preloaded with Complete events on one track. */
+/** Tracer preloaded with Complete events on one track (compute: kernels,
+ *  D2H: swap-outs). */
 obs::Tracer
 makeTracer(std::uint32_t track,
            const std::vector<std::pair<Tick, Tick>> &intervals)
 {
     obs::Tracer tracer;
     tracer.setEnabled(true);
+    obs::Label label = track == obs::kTrackCompute ? obs::Label::Kernel
+                                                   : obs::Label::SwapOut;
     for (const auto &[start, end] : intervals)
-        tracer.complete(track, obs::EventKind::Kernel, start, end - start,
-                        "iv");
+        tracer.emit({.label = label, .ts = start, .dur = end - start});
     return tracer;
 }
 

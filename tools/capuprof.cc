@@ -151,11 +151,14 @@ loadInput(const std::string &path, const Options &opt)
         prof::TraceBundle bundle;
         if (!prof::importChromeTrace(path, bundle, &err))
             fatal("{}: {}", path, err);
+        if (bundle.unknown > 0)
+            warn("{}: skipped {} events with unknown labels", path,
+                 bundle.unknown);
         prof::ProfileOptions popts;
         popts.droppedEvents = bundle.dropped;
         popts.meta = bundle.meta;
         popts.withCriticalPath = opt.withCriticalPath;
-        return prof::buildProfile(bundle.events, popts);
+        return prof::buildProfile(bundle.events, bundle.names, popts);
     }
     fatal("{}: neither a Chrome trace (traceEvents) nor a capuprof "
           "profile (capuprof)", path);

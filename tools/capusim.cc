@@ -541,6 +541,7 @@ main(int argc, char **argv)
                 Tick simTicks = 0;
                 std::uint64_t events = 0;
                 std::vector<IterationStats> iterations;
+                ReplaySummary replay;
             };
             std::vector<LevelRun> runs;
             {
@@ -570,6 +571,7 @@ main(int argc, char **argv)
                     lr.simTicks += it.duration();
                 lr.events = s.executor().obs().tracer.recorded();
                 lr.iterations = std::move(rr.iterations);
+                lr.replay = rr.replay;
                 runs.push_back(std::move(lr));
             }
             Table t({"obs level", "wall ms", "overhead", "sim time",
@@ -590,9 +592,14 @@ main(int argc, char **argv)
                                  "differ between obs levels\n";
                     return 3;
                 }
+                if (lr.replay != runs[0].replay) {
+                    std::cerr << "capusim: OBSERVER EFFECT: replay summary "
+                                 "differs between obs levels\n";
+                    return 3;
+                }
             }
-            std::cout << "observer effect: none (iteration stats identical "
-                         "at every obs level)\n";
+            std::cout << "observer effect: none (iteration stats and replay "
+                         "summary identical at every obs level)\n";
             return 0;
         }
 
@@ -663,15 +670,16 @@ main(int argc, char **argv)
         // Export observability artifacts even on OOM — a truncated trace
         // of a failed run is exactly what post-mortem debugging wants.
         obs::Obs &o = session->executor().obs();
+        const obs::Names names = traceNames(session->graph());
         if (!opt.traceJson.empty() &&
-            obs::writeChromeTraceFile(opt.traceJson, o.tracer))
+            obs::writeChromeTraceFile(opt.traceJson, o.tracer, names))
             inform("wrote Chrome trace ({} events, {} dropped) to {}",
                    o.tracer.size(), o.tracer.dropped(), opt.traceJson);
         if (!opt.metricsFile.empty() &&
             obs::writeMetricsFile(opt.metricsFile, o.metrics))
             inform("wrote per-iteration metrics to {}", opt.metricsFile);
         if (opt.profile || !opt.profileJson.empty()) {
-            prof::Profile profile = prof::buildProfile(o.tracer);
+            prof::Profile profile = prof::buildProfile(o.tracer, names);
             if (!opt.profileJson.empty() &&
                 prof::writeProfileJsonFile(opt.profileJson, profile))
                 inform("wrote capuprof profile to {}", opt.profileJson);
