@@ -614,9 +614,9 @@ runDrift(const DriftCase &dc)
 
     const obs::MetricsRegistry &metrics = adaptive.executor().obs().metrics;
     res.classes =
-        static_cast<int>(metrics.counter("capu.drift.novel_class"));
+        static_cast<int>(metrics.counter(obs::Metric::DriftNovelClass));
     res.measuredIters =
-        static_cast<int>(metrics.counter("capu.drift.measured_iters"));
+        static_cast<int>(metrics.counter(obs::Metric::DriftMeasuredIters));
 
     // Per-class counterfactual rates from pinned single-class sessions.
     std::size_t n_classes = dw.graph.variants().size();

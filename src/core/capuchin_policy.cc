@@ -76,10 +76,10 @@ CapuchinPolicy::beginIteration(ExecContext &ctx)
             auto &o = ctx.obs();
             if (!cs.novelNoted) {
                 cs.novelNoted = true;
-                o.metrics.add("capu.drift.novel_class");
+                o.metrics.add(obs::Metric::DriftNovelClass);
                 ctx.trace(obs::Label::DriftNovel, currentClass_);
             }
-            o.metrics.add("capu.drift.measured_iters");
+            o.metrics.add(obs::Metric::DriftMeasuredIters);
         }
         return;
     }
@@ -107,7 +107,7 @@ CapuchinPolicy::beginIteration(ExecContext &ctx)
         cs.triggersDirty = false;
         cs.measuredIterStart = cs.iterStart;
         if (dynamic)
-            ctx.obs().metrics.add("capu.drift.measured_iters");
+            ctx.obs().metrics.add(obs::Metric::DriftMeasuredIters);
         return;
     }
     cs.measured = false;
@@ -150,8 +150,8 @@ CapuchinPolicy::buildPlan(ExecContext &ctx, ClassState &cs, bool audit)
     inform("capuchin {}", cs.plan.summary());
 
     auto &o = ctx.obs();
-    o.metrics.add("plan.builds");
-    o.metrics.setCounter("plan.items", cs.plan.items.size());
+    o.metrics.add(obs::Metric::PlanBuilds);
+    o.metrics.setCounter(obs::Metric::PlanItems, cs.plan.items.size());
     ctx.trace(obs::Label::PlanBuild, -1, cs.plan.plannedBytes);
     if (o.tracing()) {
         for (const auto &item : cs.plan.items) {
@@ -230,7 +230,7 @@ CapuchinPolicy::onAccess(ExecContext &ctx, const AccessEvent &event)
         for (std::size_t idx : pf->second) {
             ctx.trace(obs::Label::TriggerPrefetch,
                       cs.plan.items[idx].tensor);
-            o.metrics.add("trigger.prefetch");
+            o.metrics.add(obs::Metric::TriggerPrefetch);
             ctx.prefetchAsync(cs.plan.items[idx].tensor);
         }
     }
@@ -242,7 +242,8 @@ CapuchinPolicy::onAccess(ExecContext &ctx, const AccessEvent &event)
         ctx.trace(swap ? obs::Label::TriggerSwap
                        : obs::Label::TriggerDrop,
                   item.tensor);
-        o.metrics.add(swap ? "trigger.evict.swap" : "trigger.evict.drop");
+        o.metrics.add(swap ? obs::Metric::TriggerEvictSwap
+                           : obs::Metric::TriggerEvictDrop);
         if (swap)
             ctx.evictSwapAsync(item.tensor);
         else
@@ -273,7 +274,7 @@ CapuchinPolicy::passiveEvict(ExecContext &ctx, ClassState &cs,
     auto account = [&](std::uint64_t evicted_bytes, bool necessary) {
         freed += evicted_bytes;
         any = true;
-        ctx.obs().metrics.add("passive.evicted_bytes", evicted_bytes);
+        ctx.obs().metrics.add(obs::Metric::PassiveEvictedBytes, evicted_bytes);
         if (!necessary)
             return;
         if (cs.measured)
@@ -324,7 +325,7 @@ CapuchinPolicy::passiveEvict(ExecContext &ctx, ClassState &cs,
         if (!ctx.canRegenerateStably(id))
             return false;
         ctx.trace(obs::Label::PassiveDrop, id);
-        ctx.obs().metrics.add("recovery.drop_fallbacks");
+        ctx.obs().metrics.add(obs::Metric::RecoveryDropFallbacks);
         ctx.evictDrop(id);
         if (ctx.status(id) != TensorStatus::In) {
             ++ctx.faults().stats().dropFallbacks;
@@ -359,7 +360,7 @@ CapuchinPolicy::passiveEvict(ExecContext &ctx, ClassState &cs,
             ctx.trace(obs::Label::PassiveRedrop, item.tensor);
             ctx.evictDrop(item.tensor);
             freed += ctx.tensorBytes(item.tensor);
-            ctx.obs().metrics.add("passive.evicted_bytes",
+            ctx.obs().metrics.add(obs::Metric::PassiveEvictedBytes,
                                   ctx.tensorBytes(item.tensor));
             any = true;
         }
@@ -423,7 +424,7 @@ CapuchinPolicy::onBackAccessStall(ExecContext &ctx, TensorId id, Tick stall)
     if (stall <= deadband)
         return; // within tolerance: shifting earlier would over-prefetch
     ctx.trace(obs::Label::FeedbackShift, id);
-    ctx.obs().metrics.add("feedback.adjustments");
+    ctx.obs().metrics.add(obs::Metric::FeedbackAdjustments);
     // The tensor was still SWAPPING_IN (or absent) at its back-access:
     // shift the in-trigger earlier by feedbackStep x SwapTime (§4.4).
     auto shift = static_cast<Tick>(
@@ -480,9 +481,9 @@ CapuchinPolicy::endIteration(ExecContext &ctx, const IterationStats &stats)
         int pct = static_cast<int>(cs.driftAbs / cs.driftBase * 100.0);
         auto &o = ctx.obs();
         ctx.trace(obs::Label::Remeasure);
-        o.metrics.add("plan.remeasures");
+        o.metrics.add(obs::Metric::PlanRemeasures);
         if (ctx.graph().dynamic()) {
-            o.metrics.add("capu.drift.remeasures");
+            o.metrics.add(obs::Metric::DriftRemeasures);
             ctx.trace(obs::Label::DriftRemeasure, currentClass_);
         }
         ++ctx.faults().stats().remeasures;
@@ -519,7 +520,7 @@ CapuchinPolicy::endIteration(ExecContext &ctx, const IterationStats &stats)
             cs.guidedPassiveBytes = 0;
             ++cs.replans;
             ctx.trace(obs::Label::PlanRefine);
-            ctx.obs().metrics.add("plan.revisions");
+            ctx.obs().metrics.add(obs::Metric::PlanRevisions);
             buildPlan(ctx, cs);
             return;
         }
@@ -570,7 +571,7 @@ CapuchinPolicy::onIterationAbort(ExecContext &ctx)
             ++cs.remeasures;
             auto &o = ctx.obs();
             ctx.trace(obs::Label::PassiveFallback);
-            o.metrics.add("plan.remeasures");
+            o.metrics.add(obs::Metric::PlanRemeasures);
             inform("capuchin: plan coverage saturated ({} of {}); falling "
                    "back to passive execution",
                    formatBytes(cs.plan.plannedBytes),
@@ -584,7 +585,7 @@ CapuchinPolicy::onIterationAbort(ExecContext &ctx)
     ++cs.replans;
     cs.refinementFrozen = false;
     ctx.trace(obs::Label::PlanRefine);
-    ctx.obs().metrics.add("plan.revisions");
+    ctx.obs().metrics.add(obs::Metric::PlanRevisions);
     buildPlan(ctx, cs);
     return true;
 }

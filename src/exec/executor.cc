@@ -59,7 +59,7 @@ Executor::Executor(const Graph &graph, ExecConfig config,
         obs_.tracer.setTrackName(obs::kTrackRecovery, "recovery");
     }
     if (obs_.metricsOn())
-        obs_.metrics.setCounter("run.seed", config_.seed);
+        obs_.metrics.setCounter(obs::Metric::RunSeed, config_.seed);
     // Replay needs determinism the fault engine's RNG-driven perturbations
     // deny; with a fault plan active the armed bit stays off and the
     // per-access hash is never maintained.
@@ -84,8 +84,8 @@ Executor::Executor(const Executor &other, const Graph &graph,
       iteration_(other.iteration_), setupDone_(other.setupDone_),
       currentOp_(other.currentOp_), currentOpEnd_(other.currentOpEnd_),
       stats_(other.stats_), replayArmed_(other.replayArmed_),
-      iterAccessHash_(other.iterAccessHash_),
-      replayCounterOffsets_(other.replayCounterOffsets_)
+      iterAccessHash_(other.iterAccessHash_), fedBfc_(other.fedBfc_),
+      fedHostFailedAllocs_(other.fedHostFailedAllocs_)
 {
     // The member-wise copies above left four raw observer pointers aimed
     // at `other`'s tracer / fault engine. Re-attach them to this copy's
@@ -300,7 +300,7 @@ Executor::abortIteration()
     mem_.gpu().checkInvariants();
     obs_.tracer.emit(
         {.label = obs::Label::IterAbort, .ts = clock_, .number = iteration_});
-    obs_.metrics.add("iter.aborts");
+    obs_.metrics.add(obs::Metric::IterAborts);
 }
 
 IterationStats
@@ -335,7 +335,7 @@ Executor::beginIterationState()
                               activeVariant_)});
         // Gauge, not counter: the class index is non-monotonic and counter
         // deltas are unsigned in the replay digest machinery.
-        obs_.metrics.set("capu.drift.class",
+        obs_.metrics.set(obs::Metric::DriftClass,
                          static_cast<double>(activeVariant_));
     }
     if (policy_)
@@ -376,7 +376,7 @@ Executor::finishIterationState()
                           .number = iteration_});
         // After the marker, so the count covers every record this
         // iteration could have pushed out of the ring.
-        obs_.metrics.setCounter(obs::kTraceDroppedCounter,
+        obs_.metrics.setCounter(obs::Metric::TraceDropped,
                                 obs_.tracer.dropped());
     }
     ++iteration_;
@@ -447,12 +447,12 @@ Executor::allocateOrDie(Tick &at, std::uint64_t bytes,
             obs_.tracer.emit({.label = obs::Label::OomPolicyAssist,
                               .ts = at,
                               .bytes = bytes});
-            obs_.metrics.add("oom.policy_assists");
+            obs_.metrics.add(obs::Metric::OomPolicyAssists);
             continue;
         }
         obs_.tracer.emit(
             {.label = obs::Label::OomRaise, .ts = at, .bytes = bytes});
-        obs_.metrics.add("oom.raises");
+        obs_.metrics.add(obs::Metric::OomRaises);
         throw OomError(
             fmt("OOM allocating {} for {} (in use {}, largest free {})",
                 formatBytes(bytes), what,
@@ -505,7 +505,7 @@ Executor::ensureResident(TensorId id, Tick at)
               {.label = obs::Label::OnDemandSwapIn, .ts = at, .tensor = id});
           Tick done = swapIn(id, h, at, obs::Label::SwapIn);
           st.status = TensorStatus::In;
-          obs_.metrics.add("swap.ondemand_count");
+          obs_.metrics.add(obs::Metric::SwapOndemandCount);
           notePhase(id, obs::Label::PhaseIn, done);
           noteStall(id, t0, done - t0);
           return done;
@@ -539,7 +539,7 @@ Executor::swapIn(TensorId id, MemHandle h, Tick ready, obs::Label label)
     st.fingerprint = st.hostFp;
     ++stats_.swapInCount;
     stats_.swapInBytes += bytes;
-    noteOutEnd(id, "tensor.in_bytes");
+    noteOutEnd(id, obs::Metric::TensorInBytes);
     notePhase(id, obs::Label::PhaseSwappingIn,
               pcie_.lastStart(CopyDir::HostToDevice));
     return done;
@@ -584,7 +584,7 @@ Executor::recomputeTensor(TensorId target, Tick at)
 
     if (plan.empty())
         panic("recompute plan for {} is empty", graph_.tensor(target).name);
-    obs_.metrics.observe("recompute.chain_ops", plan.size());
+    obs_.metrics.observe(obs::Metric::RecomputeChainOps, plan.size());
 
     // Tensors kept alive only as replay intermediates (no scheduled uses
     // left) and tensors with future uses retained by collective
@@ -698,7 +698,7 @@ Executor::lineageFingerprint(TensorId id, const Operation &op) const
 void
 Executor::verifyFingerprint(TensorId id, const Operation &op)
 {
-    obs_.metrics.add("fingerprint.checks");
+    obs_.metrics.add(obs::Metric::FingerprintChecks);
     const TensorState &st = state(id);
     if (st.fingerprint != st.expectedFp) {
         panic("fingerprint mismatch on {} consumed by {}: data {} expected "
@@ -931,7 +931,7 @@ Executor::retireHostCopy(TensorId id)
     TensorState &st = state(id);
     if (st.hostHandle == 0)
         return;
-    noteOutEnd(id, "tensor.retired_host_bytes");
+    noteOutEnd(id, obs::Metric::TensorRetiredHostBytes);
     mem_.host().deallocate(st.hostHandle);
     st.hostHandle = 0;
 }
@@ -991,11 +991,11 @@ Executor::noteOut(TensorId id)
     if (st.outWithHost)
         return;
     st.outWithHost = true;
-    obs_.metrics.add("tensor.out_bytes", allocBytes(id));
+    obs_.metrics.add(obs::Metric::TensorOutBytes, allocBytes(id));
 }
 
 void
-Executor::noteOutEnd(TensorId id, std::string_view metric)
+Executor::noteOutEnd(TensorId id, obs::Metric metric)
 {
     TensorState &st = state(id);
     if (!st.outWithHost)
@@ -1009,54 +1009,54 @@ Executor::feedIterationMetrics()
 {
     if (!obs_.metricsOn())
         return;
+    using obs::Metric;
     auto &m = obs_.metrics;
     auto u64 = [](auto v) { return static_cast<std::uint64_t>(v); };
-    m.add("swap.out.bytes", stats_.swapOutBytes);
-    m.add("swap.in.bytes", stats_.swapInBytes);
-    m.add("swap.out.count", u64(stats_.swapOutCount));
-    m.add("swap.in.count", u64(stats_.swapInCount));
-    m.add("stall.input_ns", stats_.inputStall);
-    m.add("stall.alloc_ns", stats_.allocStall);
-    m.add("compute.kernel_ns", stats_.kernelBusy);
-    m.add("compute.recompute_ns", stats_.recomputeBusy);
-    m.add("recompute.tensors", u64(stats_.recomputedTensors));
-    m.add("recompute.ops", u64(stats_.recomputeOps));
-    m.add("drop.tensors", u64(stats_.droppedTensors));
-    m.add("drop.bytes", stats_.droppedBytes);
-    m.add("inplace.forwards", u64(stats_.inplaceForwards));
-    m.add("kernel.fallbacks", u64(stats_.fallbackKernels));
-    m.add("oom.evictions", u64(stats_.oomEvictions));
-    m.add("prefetch.busy_ns", stats_.prefetchBusy);
-    m.add("prefetch.stall_ns", stats_.prefetchStall);
+    m.add(Metric::SwapOutBytes, stats_.swapOutBytes);
+    m.add(Metric::SwapInBytes, stats_.swapInBytes);
+    m.add(Metric::SwapOutCount, u64(stats_.swapOutCount));
+    m.add(Metric::SwapInCount, u64(stats_.swapInCount));
+    m.add(Metric::StallInputNs, stats_.inputStall);
+    m.add(Metric::StallAllocNs, stats_.allocStall);
+    m.add(Metric::ComputeKernelNs, stats_.kernelBusy);
+    m.add(Metric::ComputeRecomputeNs, stats_.recomputeBusy);
+    m.add(Metric::RecomputeTensors, u64(stats_.recomputedTensors));
+    m.add(Metric::RecomputeOps, u64(stats_.recomputeOps));
+    m.add(Metric::DropTensors, u64(stats_.droppedTensors));
+    m.add(Metric::DropBytes, stats_.droppedBytes);
+    m.add(Metric::InplaceForwards, u64(stats_.inplaceForwards));
+    m.add(Metric::KernelFallbacks, u64(stats_.fallbackKernels));
+    m.add(Metric::OomEvictions, u64(stats_.oomEvictions));
+    m.add(Metric::PrefetchBusyNs, stats_.prefetchBusy);
+    m.add(Metric::PrefetchStallNs, stats_.prefetchStall);
 
-    // Raw allocator counters don't advance during synthesized iterations;
-    // the accumulated replay offsets keep the mirrored totals seamless.
+    // Raw allocator counters don't advance during synthesized iterations,
+    // whose replayed deltas the registry already holds: feed only what
+    // the allocators counted since the last feed.
     const BfcStats &bfc = mem_.gpu().stats();
-    m.setCounter("bfc.splits",
-                 bfc.splitCount + replayCounterOffset("bfc.splits"));
-    m.setCounter("bfc.merges",
-                 bfc.mergeCount + replayCounterOffset("bfc.merges"));
-    m.setCounter("bfc.failed_allocs",
-                 bfc.failedAllocs + replayCounterOffset("bfc.failed_allocs"));
-    m.set("bfc.fragmentation", mem_.gpu().fragmentation());
-    m.set("gpu.peak_bytes", static_cast<double>(stats_.peakGpuBytes));
-    m.setCounter("host.failed_allocs",
-                 mem_.host().failedAllocs() +
-                     replayCounterOffset("host.failed_allocs"));
+    m.add(Metric::BfcSplits, bfc.splitCount - fedBfc_.splitCount);
+    m.add(Metric::BfcMerges, bfc.mergeCount - fedBfc_.mergeCount);
+    m.add(Metric::BfcFailedAllocs, bfc.failedAllocs - fedBfc_.failedAllocs);
+    fedBfc_ = bfc;
+    m.set(Metric::BfcFragmentation, mem_.gpu().fragmentation());
+    m.set(Metric::GpuPeakBytes, static_cast<double>(stats_.peakGpuBytes));
+    std::uint64_t host_failed = mem_.host().failedAllocs();
+    m.add(Metric::HostFailedAllocs, host_failed - fedHostFailedAllocs_);
+    fedHostFailedAllocs_ = host_failed;
 
     if (faults_.enabled()) {
         const faults::FaultStats &fs = faults_.stats();
-        m.setCounter("fault.pcie.degraded_transfers", fs.degradedTransfers);
-        m.setCounter("fault.kernel.jittered", fs.jitteredKernels);
-        m.setCounter("fault.host.reject_count", fs.hostRejects);
-        m.setCounter("fault.swap.failures", fs.swapAttemptFailures);
-        m.setCounter("recovery.swap_retries", fs.swapRetries);
-        m.setCounter("recovery.swap_forced", fs.swapForced);
-        m.setCounter("recovery.drop_fallback_count", fs.dropFallbacks);
-        m.setCounter("recovery.swap_skip_count", fs.swapSkips);
-        m.setCounter("recovery.prefetch_miss_count", fs.prefetchMisses);
-        m.setCounter("recovery.remeasure_count", fs.remeasures);
-        m.setCounter("recovery.feedback_shift_count", fs.feedbackShifts);
+        m.setCounter(Metric::FaultPcieDegradedTransfers, fs.degradedTransfers);
+        m.setCounter(Metric::FaultKernelJittered, fs.jitteredKernels);
+        m.setCounter(Metric::FaultHostRejectCount, fs.hostRejects);
+        m.setCounter(Metric::FaultSwapFailures, fs.swapAttemptFailures);
+        m.setCounter(Metric::RecoverySwapRetries, fs.swapRetries);
+        m.setCounter(Metric::RecoverySwapForced, fs.swapForced);
+        m.setCounter(Metric::RecoveryDropFallbackCount, fs.dropFallbacks);
+        m.setCounter(Metric::RecoverySwapSkipCount, fs.swapSkips);
+        m.setCounter(Metric::RecoveryPrefetchMissCount, fs.prefetchMisses);
+        m.setCounter(Metric::RecoveryRemeasureCount, fs.remeasures);
+        m.setCounter(Metric::RecoveryFeedbackShiftCount, fs.feedbackShifts);
     }
 
     double hidden = 1.0;
@@ -1065,8 +1065,8 @@ Executor::feedIterationMetrics()
                            static_cast<double>(stats_.prefetchBusy);
         hidden = std::min(1.0, std::max(0.0, hidden));
     }
-    m.set("prefetch.hidden_ratio", hidden);
-    m.set("iter.duration_ns", static_cast<double>(stats_.duration()));
+    m.set(Metric::PrefetchHiddenRatio, hidden);
+    m.set(Metric::IterDurationNs, static_cast<double>(stats_.duration()));
 }
 
 // --- capureplay ---
@@ -1091,27 +1091,6 @@ Executor::replayBumpWeight(TensorId id, int bumps)
     // The fingerprint depends only on the final version, not on the
     // bump-by-bump path runOp's Update handling takes.
     setWeightVersion(id, state(id).weightVersion + bumps);
-}
-
-void
-Executor::addReplayCounterOffset(std::string_view name, std::uint64_t delta)
-{
-    for (auto &[key, off] : replayCounterOffsets_) {
-        if (key == name) {
-            off += delta;
-            return;
-        }
-    }
-    replayCounterOffsets_.emplace_back(std::string(name), delta);
-}
-
-std::uint64_t
-Executor::replayCounterOffset(std::string_view name) const
-{
-    for (const auto &[key, off] : replayCounterOffsets_)
-        if (key == name)
-            return off;
-    return 0;
 }
 
 // --- ExecContext queries ---
@@ -1299,7 +1278,7 @@ Executor::hostStage(TensorId id, std::uint64_t wire_bytes)
     if (faults_.enabled() && faults_.hostTransientFail()) {
         ++faults_.stats().hostRejects;
         faults_.note(obs::Label::HostTransient, clock_, id, wire_bytes);
-        obs_.metrics.add("fault.host.rejects");
+        obs_.metrics.add(obs::Metric::FaultHostRejects);
         return 0;
     }
     std::uint64_t h = mem_.host().allocate(wire_bytes);
@@ -1308,7 +1287,7 @@ Executor::hostStage(TensorId id, std::uint64_t wire_bytes)
             ++faults_.stats().hostRejects;
             faults_.note(obs::Label::HostExhausted, clock_, id, wire_bytes);
         }
-        obs_.metrics.add("fault.host.rejects");
+        obs_.metrics.add(obs::Metric::FaultHostRejects);
     }
     return h;
 }
@@ -1321,12 +1300,12 @@ Executor::swapToDropFallback(TensorId id)
         // look for another victim.
         ++faults_.stats().swapSkips;
         trace(obs::Label::SwapSkipped, id);
-        obs_.metrics.add("recovery.swap_skipped");
+        obs_.metrics.add(obs::Metric::RecoverySwapSkipped);
         return;
     }
     ++faults_.stats().dropFallbacks;
     trace(obs::Label::SwapToDrop, id);
-    obs_.metrics.add("recovery.drop_fallbacks");
+    obs_.metrics.add(obs::Metric::RecoveryDropFallbacks);
     evictDrop(id);
 }
 
@@ -1353,7 +1332,7 @@ Executor::swapOut(TensorId id, bool on_demand)
         ++stats_.elidedWritebacks;
         if (on_demand)
             ++stats_.oomEvictions;
-        obs_.metrics.add("swap.writeback_elided");
+        obs_.metrics.add(obs::Metric::SwapWritebackElided);
         noteOut(id);
         notePhase(id, obs::Label::PhaseOut, when);
         return true;
@@ -1407,7 +1386,7 @@ Executor::evictSwapBlocking(TensorId id)
     if (st.status == TensorStatus::SwappingOut) {
         computeBarrier_ = std::max(computeBarrier_, st.swapOutDone);
         trace(obs::Label::BlockingSwap, id);
-        obs_.metrics.add("swap.blocking_count");
+        obs_.metrics.add(obs::Metric::SwapBlockingCount);
     }
     return computeBarrier_;
 }
@@ -1465,14 +1444,14 @@ Executor::prefetchAsync(TensorId id)
         // Peak-memory window: degrade to on-demand at the back access
         // (passive-mode safety net).
         ++faults_.stats().prefetchMisses;
-        obs_.metrics.add("prefetch.miss");
+        obs_.metrics.add(obs::Metric::PrefetchMiss);
         trace(obs::Label::PrefetchMiss, id);
         return;
     }
     Tick done = swapIn(id, *h, ready, obs::Label::Prefetch);
     st.status = TensorStatus::SwappingIn;
     stats_.prefetchBusy += done - pcie_.lastStart(CopyDir::HostToDevice);
-    obs_.metrics.add("prefetch.count");
+    obs_.metrics.add(obs::Metric::PrefetchCount);
 }
 
 obs::Names

@@ -397,14 +397,6 @@ class Executor : public ExecContext
      */
     void replayBumpWeight(TensorId id, int bumps);
 
-    /**
-     * Synthesized iterations leave raw allocator counters (bfc.splits,
-     * ...) behind reality; feedIterationMetrics adds these accumulated
-     * offsets when mirroring them into the registry so audited executed
-     * iterations report seamless totals.
-     */
-    void addReplayCounterOffset(std::string_view name, std::uint64_t delta);
-
   private:
     const Graph &graph_;
     ExecConfig config_;
@@ -439,10 +431,9 @@ class Executor : public ExecContext
     // --- capureplay state ---
     bool replayArmed_ = false;
     std::uint64_t iterAccessHash_ = 0;
-    /** (metric name, accumulated offset); tiny — linear scan suffices. */
-    std::vector<std::pair<std::string, std::uint64_t>> replayCounterOffsets_;
-
-    std::uint64_t replayCounterOffset(std::string_view name) const;
+    /** Raw allocator counters as last fed to the registry (as deltas). */
+    BfcStats fedBfc_;
+    std::uint64_t fedHostFailedAllocs_ = 0;
 
     // --- helpers ---
     /** Op list the current iteration runs (variant slice when dynamic). */
@@ -539,7 +530,7 @@ class Executor : public ExecContext
      * tensor.retired_host_bytes (host copy died).
      */
     void noteOut(TensorId id);
-    void noteOutEnd(TensorId id, std::string_view metric);
+    void noteOutEnd(TensorId id, obs::Metric metric);
     void feedIterationMetrics();
     /** Lineage fingerprint of `op` producing `id` from its inputs' data. */
     std::uint64_t lineageFingerprint(TensorId id, const Operation &op) const;

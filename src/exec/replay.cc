@@ -1,30 +1,11 @@
 #include "exec/replay.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "support/rng.hh"
 
 namespace capu
 {
-
-namespace
-{
-
-/**
- * Registry counters that mirror raw allocator/host counters via setCounter
- * in feedIterationMetrics. Synthesized iterations advance these through the
- * executor's replay-offset mechanism instead of a plain add, so the next
- * executed iteration's absolute mirror stays seamless.
- */
-bool
-isRawMirror(const std::string &name)
-{
-    return name == "bfc.splits" || name == "bfc.merges" ||
-           name == "bfc.failed_allocs" || name == "host.failed_allocs";
-}
-
-} // namespace
 
 ReplayEngine::ReplayEngine(Executor &exec, MemoryPolicy *policy)
     : exec_(exec), policy_(policy), opts_(exec.config().replay)
@@ -50,18 +31,12 @@ ReplayEngine::ReplayEngine(const ReplayEngine &other, Executor &exec,
 {
 }
 
-ReplayEngine::Track &
-ReplayEngine::trackFor(std::uint64_t cls)
-{
-    return tracks_[cls]; // default state: Observing
-}
-
 bool
 ReplayEngine::canReplay()
 {
     if (!armed_ || disabled_)
         return false;
-    Track &tr = trackFor(exec_.shapeClass());
+    Track &tr = tracks_[exec_.shapeClass()];
     if (tr.state != State::Steady)
         return false;
     if (policy_ && !policy_->stableForReplay())
@@ -91,7 +66,7 @@ ReplayEngine::observe(const IterationStats &stats)
     bool stable = !policy_ || policy_->stableForReplay();
     // The class that just executed (Session selects it before running, so
     // it is still current here).
-    Track &tr = trackFor(exec_.shapeClass());
+    Track &tr = tracks_[exec_.shapeClass()];
 
     if (tr.state == State::Steady) {
         // An executed iteration while steady is either a due audit or a
@@ -154,7 +129,7 @@ ReplayEngine::noteAbort()
 IterationStats
 ReplayEngine::synthesize()
 {
-    Track &tr = trackFor(exec_.shapeClass());
+    Track &tr = tracks_[exec_.shapeClass()];
     IterationStats st = tr.tpl.stats;
     // Same begin rule as Executor::beginIterationState; at the fixed point
     // both operands equal the previous iteration's end.
@@ -188,10 +163,8 @@ ReplayEngine::captureMarks(Marks &into) const
     into.weightVersions.reserve(weightIds_.size());
     for (TensorId id : weightIds_)
         into.weightVersions.push_back(exec_.tensorState(id).weightVersion);
-    const auto &m = exec_.obs().metrics;
-    into.counters = m.counters();
-    into.gauges = m.gauges();
-    into.histograms = m.histograms();
+    if (exec_.obs().metricsOn())
+        into.metrics = exec_.obs().metrics.values();
 }
 
 ReplayEngine::Delta
@@ -214,24 +187,8 @@ ReplayEngine::captureDelta(const IterationStats &stats) const
             d.weightBumps.emplace_back(weightIds_[i], cur - prev);
     }
 
-    const auto &m = exec_.obs().metrics;
-    for (const auto &[name, value] : m.counters()) {
-        if (name == obs::kTraceDroppedCounter)
-            continue; // observer-self: set from the live tracer
-        auto it = marks_.counters.find(name);
-        std::uint64_t prev = it == marks_.counters.end() ? 0 : it->second;
-        if (value != prev)
-            d.counterDeltas.emplace(name, value - prev);
-    }
-    d.gauges.insert(m.gauges().begin(), m.gauges().end());
-    for (const auto &[name, hist] : m.histograms()) {
-        auto it = marks_.histograms.find(name);
-        obs::Histogram delta = it == marks_.histograms.end()
-                                   ? hist.deltaSince(obs::Histogram{})
-                                   : hist.deltaSince(it->second);
-        if (delta.count() > 0)
-            d.histDeltas.emplace_back(name, delta);
-    }
+    if (exec_.obs().metricsOn())
+        d.metrics = exec_.obs().metrics.deltaSince(marks_.metrics);
 
     if (exec_.obs().tracing())
         d.events = exec_.obs().tracer.eventsSince(marks_.tracerMark);
@@ -245,11 +202,6 @@ ReplayEngine::digestOf(const Delta &d) const
 {
     std::uint64_t h = hashString("capureplay/v1");
     auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
-    auto mixd = [&](double v) {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        mix(bits);
-    };
 
     mix(exec_.iterationAccessHash());
 
@@ -306,19 +258,6 @@ ReplayEngine::digestOf(const Delta &d) const
         mix(static_cast<std::uint64_t>(bumps));
     }
 
-    for (const auto &[name, delta] : d.counterDeltas) {
-        mix(hashString(name.c_str()));
-        mix(delta);
-    }
-    for (const auto &[name, value] : d.gauges) {
-        mix(hashString(name.c_str()));
-        mixd(value);
-    }
-    for (const auto &[name, hist] : d.histDeltas) {
-        mix(hashString(name.c_str()));
-        mix(hist.count());
-        mix(hist.sum());
-    }
     return h;
 }
 
@@ -341,18 +280,11 @@ ReplayEngine::emitSynthesized(const IterationStats &st, const Delta &tpl)
     }
     if (obs.metricsOn()) {
         auto &m = obs.metrics;
-        for (const auto &[name, delta] : tpl.counterDeltas) {
-            m.add(name, delta);
-            if (isRawMirror(name))
-                exec_.addReplayCounterOffset(name, delta);
-        }
-        for (const auto &[name, value] : tpl.gauges)
-            m.set(name, value);
-        for (const auto &[name, hist] : tpl.histDeltas)
-            m.mergeHistogram(name, hist);
+        m.replay(tpl.metrics);
+        // Observer-self: the live tracer's count replaces the template's.
         if (obs.tracing())
-            m.setCounter(obs::kTraceDroppedCounter, obs.tracer.dropped());
-        m.add("replay.iterations");
+            m.setCounter(obs::Metric::TraceDropped, obs.tracer.dropped());
+        m.add(obs::Metric::ReplayIterations);
         m.snapshotIteration(st.iteration);
     }
 }

@@ -8,7 +8,8 @@
  * ReplayEngine detects that fixed point with a deterministic *iteration
  * digest* — a 64-bit hash over the access stream, the iteration stats, the
  * end-relative resource horizons, the allocator layout, pending deferred
- * frees, weight-version bumps and the metrics delta. When two consecutive
+ * frees and weight-version bumps. The digest covers the simulation only:
+ * observability output never moves the fixed point. When two consecutive
  * executed iterations produce identical digests (and the policy reports
  * stableForReplay()), the session stops executing and *synthesizes* the
  * remaining iterations from the cached iteration delta: clocks, stream
@@ -39,9 +40,7 @@
 #define CAPU_EXEC_REPLAY_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -108,9 +107,8 @@ class ReplayEngine
         std::uint64_t tracerMark = 0;
         /** Parallel to weightIds_. */
         std::vector<int> weightVersions;
-        std::map<std::string, std::uint64_t, std::less<>> counters;
-        std::map<std::string, double, std::less<>> gauges;
-        std::map<std::string, obs::Histogram, std::less<>> histograms;
+        /** Copied only while metrics are on. */
+        obs::MetricsRegistry::Values metrics;
     };
 
     /** Everything one iteration changed — the replayable template. */
@@ -119,9 +117,8 @@ class ReplayEngine
         IterationStats stats;
         ReplayShift shift;
         std::vector<std::pair<TensorId, int>> weightBumps;
-        std::map<std::string, std::uint64_t> counterDeltas;
-        std::map<std::string, double> gauges;
-        std::vector<std::pair<std::string, obs::Histogram>> histDeltas;
+        /** Re-emitted, never digested; filled only while metrics are on. */
+        obs::MetricsRegistry::Values metrics;
         std::vector<obs::TraceEvent> events;
         std::uint64_t digest = 0;
     };
@@ -146,7 +143,6 @@ class ReplayEngine
     Delta captureDelta(const IterationStats &stats) const;
     std::uint64_t digestOf(const Delta &delta) const;
     void emitSynthesized(const IterationStats &st, const Delta &tpl);
-    Track &trackFor(std::uint64_t cls);
 
     Executor &exec_;
     MemoryPolicy *policy_;

@@ -30,14 +30,6 @@ DeferredFreeQueue::nextMaturity() const
     return heap_.top().when;
 }
 
-void
-DeferredFreeQueue::clear()
-{
-    while (!heap_.empty())
-        heap_.pop();
-    pendingHandles_.clear();
-}
-
 bool
 DeferredFreeQueue::isPending(MemHandle handle) const
 {

@@ -42,9 +42,6 @@ class DeferredFreeQueue
 
     bool empty() const { return heap_.empty(); }
 
-    /** Drop all pending frees without applying (simulation reset). */
-    void clear();
-
     /** Whether `handle` has a posted-but-unmatured free. */
     bool isPending(MemHandle handle) const;
 

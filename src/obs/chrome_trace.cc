@@ -98,6 +98,26 @@ writeEvent(std::ostream &os, const TraceEvent &ev, const Names &names,
     os << "}";
 }
 
+/**
+ * One JSON object's members: `"name": value` for every touched metric of
+ * `kind`, in table (that is, name) order.
+ */
+template <typename F>
+void
+writeMembers(std::ostream &os, const MetricsRegistry &metrics,
+             MetricKind kind, F &&value)
+{
+    const char *sep = "\n";
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+        auto m = static_cast<Metric>(i);
+        if (kMetricTable[i].kind != kind || !metrics.touched(m))
+            continue;
+        os << sep << "    \"" << kMetricTable[i].name << "\": ";
+        value(m);
+        sep = ",\n";
+    }
+}
+
 } // namespace
 
 const char *
@@ -218,31 +238,35 @@ writeChromeTraceFile(const std::string &path, const Tracer &tracer,
 void
 writeMetricsCsv(std::ostream &os, const MetricsRegistry &metrics)
 {
-    auto columns = metrics.snapshotColumns();
+    MetricSet columns;
+    for (const auto &snap : metrics.iterations())
+        columns |= snap.touched;
     os << "iteration";
-    for (const auto &name : columns)
-        os << ',' << name;
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+        if (columns.test(i))
+            os << ',' << kMetricTable[i].name;
+    }
     os << '\n';
     for (const auto &snap : metrics.iterations()) {
         os << snap.iteration;
-        for (const auto &name : columns) {
-            os << ',';
-            auto it = snap.values.find(name);
-            if (it != snap.values.end())
-                os << jsonDouble(it->second);
-            else
-                os << 0;
+        // An untouched cell holds 0.0, which prints as 0.
+        for (std::size_t i = 0; i < kMetricCount; ++i) {
+            if (columns.test(i))
+                os << ',' << jsonDouble(snap.values[i]);
         }
         os << '\n';
     }
     // Histogram summary footer: full-run distributions don't fit the
     // per-iteration row model, so they ride along as comment rows.
-    for (const auto &[name, hist] : metrics.histograms()) {
-        os << "#histogram," << name << ",count=" << hist.count()
-           << ",sum=" << hist.sum() << ",min=" << hist.min()
-           << ",max=" << hist.max() << ",mean=" << jsonDouble(hist.mean())
-           << ",p50=" << hist.p50() << ",p95=" << hist.p95()
-           << ",p99=" << hist.p99() << '\n';
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+        const Histogram *hist = metrics.histogram(static_cast<Metric>(i));
+        if (hist == nullptr)
+            continue;
+        os << "#histogram," << kMetricTable[i].name << ",count="
+           << hist->count() << ",sum=" << hist->sum() << ",min="
+           << hist->min() << ",max=" << hist->max()
+           << ",mean=" << jsonDouble(hist->mean()) << ",p50=" << hist->p50()
+           << ",p95=" << hist->p95() << ",p99=" << hist->p99() << '\n';
     }
 }
 
@@ -250,40 +274,33 @@ void
 writeMetricsJson(std::ostream &os, const MetricsRegistry &metrics)
 {
     os << "{\n  \"counters\": {";
-    bool first = true;
-    for (const auto &[name, value] : metrics.counters()) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
-           << "\": " << value;
-        first = false;
-    }
+    writeMembers(os, metrics, MetricKind::Counter,
+                 [&](Metric m) { os << metrics.counter(m); });
     os << "\n  },\n  \"gauges\": {";
-    first = true;
-    for (const auto &[name, value] : metrics.gauges()) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
-           << "\": " << jsonDouble(value);
-        first = false;
-    }
+    writeMembers(os, metrics, MetricKind::Gauge,
+                 [&](Metric m) { os << jsonDouble(metrics.gauge(m)); });
     os << "\n  },\n  \"histograms\": {";
-    first = true;
-    for (const auto &[name, hist] : metrics.histograms()) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
-           << "\": {\"count\": " << hist.count() << ", \"sum\": "
-           << hist.sum() << ", \"min\": " << hist.min() << ", \"max\": "
-           << hist.max() << ", \"mean\": " << jsonDouble(hist.mean())
+    writeMembers(os, metrics, MetricKind::Histogram, [&](Metric m) {
+        const Histogram &hist = *metrics.histogram(m);
+        os << "{\"count\": " << hist.count() << ", \"sum\": " << hist.sum()
+           << ", \"min\": " << hist.min() << ", \"max\": " << hist.max()
+           << ", \"mean\": " << jsonDouble(hist.mean())
            << ", \"p50\": " << hist.p50() << ", \"p95\": " << hist.p95()
            << ", \"p99\": " << hist.p99() << ", \"buckets\": [";
         for (std::size_t i = 0; i < hist.usedBuckets(); ++i)
             os << (i ? "," : "") << hist.bucket(i);
         os << "]}";
-        first = false;
-    }
+    });
     os << "\n  },\n  \"iterations\": [";
-    first = true;
+    bool first = true;
     for (const auto &snap : metrics.iterations()) {
         os << (first ? "\n" : ",\n") << "    {\"iteration\": "
            << snap.iteration;
-        for (const auto &[name, value] : snap.values)
-            os << ", \"" << jsonEscape(name) << "\": " << jsonDouble(value);
+        for (std::size_t i = 0; i < kMetricCount; ++i) {
+            if (snap.touched.test(i))
+                os << ", \"" << kMetricTable[i].name
+                   << "\": " << jsonDouble(snap.values[i]);
+        }
         os << "}";
         first = false;
     }

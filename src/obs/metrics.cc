@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 namespace capu::obs
 {
@@ -112,94 +111,52 @@ Histogram::usedBuckets() const
     return last;
 }
 
-void
-MetricsRegistry::clear()
+std::optional<Metric>
+metricByName(std::string_view name)
 {
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
-    lastSnapshot_.clear();
-    snapshots_.clear();
-}
-
-void
-MetricsRegistry::add(std::string_view name, std::uint64_t delta)
-{
-    if (!enabled_)
-        return;
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        counters_.emplace(std::string(name), delta);
-    else
-        it->second += delta;
-}
-
-void
-MetricsRegistry::setCounter(std::string_view name, std::uint64_t value)
-{
-    if (!enabled_)
-        return;
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        counters_.emplace(std::string(name), value);
-    else
-        it->second = value;
-}
-
-void
-MetricsRegistry::set(std::string_view name, double value)
-{
-    if (!enabled_)
-        return;
-    auto it = gauges_.find(name);
-    if (it == gauges_.end())
-        gauges_.emplace(std::string(name), value);
-    else
-        it->second = value;
-}
-
-void
-MetricsRegistry::observe(std::string_view name, std::uint64_t value)
-{
-    if (!enabled_)
-        return;
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        it = histograms_.emplace(std::string(name), Histogram{}).first;
-    it->second.observe(value);
-}
-
-void
-MetricsRegistry::mergeHistogram(std::string_view name,
-                                const Histogram &delta)
-{
-    if (!enabled_)
-        return;
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        it = histograms_.emplace(std::string(name), Histogram{}).first;
-    it->second.merge(delta);
-}
-
-std::uint64_t
-MetricsRegistry::counter(std::string_view name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-double
-MetricsRegistry::gauge(std::string_view name) const
-{
-    auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0.0 : it->second;
+    auto it = std::ranges::lower_bound(kMetricTable, name, {},
+                                       &MetricInfo::name);
+    if (it == std::end(kMetricTable) || it->name != name)
+        return std::nullopt;
+    return static_cast<Metric>(it - std::begin(kMetricTable));
 }
 
 const Histogram *
-MetricsRegistry::histogram(std::string_view name) const
+MetricsRegistry::histogram(Metric m) const
 {
-    auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
+    std::size_t i = index(m);
+    bool live = kMetricTable[i].kind == MetricKind::Histogram && touched(m);
+    return live ? &v_.histograms[histogramSlot(i)] : nullptr;
+}
+
+MetricsRegistry::Values
+MetricsRegistry::deltaSince(const Values &mark) const
+{
+    Values d;
+    for (std::size_t i = 0; i < kMetricCount; ++i)
+        d.counters[i] = v_.counters[i] - mark.counters[i];
+    d.gauges = v_.gauges;
+    for (std::size_t i = 0; i < d.histograms.size(); ++i)
+        d.histograms[i] = v_.histograms[i].deltaSince(mark.histograms[i]);
+    d.touched = v_.touched;
+    return d;
+}
+
+void
+MetricsRegistry::replay(const Values &delta)
+{
+    if (!enabled_)
+        return;
+    // Untouched counters carry a zero delta and untouched histograms an
+    // empty one; only gauges must skip the rows the delta never set.
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+        v_.counters[i] += delta.counters[i];
+        if (delta.touched.test(i) && kMetricTable[i].kind == MetricKind::Gauge)
+            v_.gauges[i] = delta.gauges[i];
+    }
+    for (std::size_t h = 0; h < v_.histograms.size(); ++h)
+        v_.histograms[h].merge(delta.histograms[h]);
+    v_.touched |= delta.touched;
 }
 
 void
@@ -207,30 +164,19 @@ MetricsRegistry::snapshotIteration(int iteration)
 {
     if (!enabled_)
         return;
-    IterationSnapshot snap;
+    IterationSnapshot &snap = snapshots_.emplace_back();
     snap.iteration = iteration;
-    for (const auto &[name, value] : counters_) {
-        std::uint64_t prev = 0;
-        auto it = lastSnapshot_.find(name);
-        if (it != lastSnapshot_.end())
-            prev = it->second;
-        snap.values[name] = static_cast<double>(value - prev);
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+        MetricKind kind = kMetricTable[i].kind;
+        if (!v_.touched.test(i) || kind == MetricKind::Histogram)
+            continue;
+        snap.touched.set(i);
+        snap.values[i] =
+            kind == MetricKind::Gauge
+                ? v_.gauges[i]
+                : static_cast<double>(v_.counters[i] - lastSnapshot_[i]);
     }
-    for (const auto &[name, value] : gauges_)
-        snap.values[name] = value;
-    lastSnapshot_ = counters_;
-    snapshots_.push_back(std::move(snap));
-}
-
-std::vector<std::string>
-MetricsRegistry::snapshotColumns() const
-{
-    std::set<std::string> names;
-    for (const auto &snap : snapshots_) {
-        for (const auto &[name, value] : snap.values)
-            names.insert(name);
-    }
-    return {names.begin(), names.end()};
+    lastSnapshot_ = v_.counters;
 }
 
 } // namespace capu::obs

@@ -32,7 +32,6 @@ Obs::configure(ObsLevel level, std::size_t ring_capacity)
     level_ = level;
     tracer.setCapacity(ring_capacity);
     tracer.setEnabled(level == ObsLevel::Full);
-    metrics.clear();
     metrics.setEnabled(level != ObsLevel::Off);
 }
 

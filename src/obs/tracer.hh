@@ -41,7 +41,6 @@ class Tracer
 
     /** Resize the ring; discards any buffered events. */
     void setCapacity(std::size_t capacity);
-    std::size_t capacity() const { return capacity_; }
 
     /** Drop all buffered events and reset the drop counter. */
     void clear();

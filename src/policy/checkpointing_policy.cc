@@ -109,7 +109,7 @@ CheckpointingPolicy::afterOp(ExecContext &ctx, OpId op, Tick op_end)
         return;
     for (TensorId t : it->second) {
         ctx.trace(obs::Label::CkptDrop, t);
-        ctx.obs().metrics.add("ckpt.drops");
+        ctx.obs().metrics.add(obs::Metric::CkptDrops);
         ctx.evictDrop(t);
     }
 }

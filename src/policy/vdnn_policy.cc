@@ -98,7 +98,7 @@ VdnnPolicy::afterOp(ExecContext &ctx, OpId op, Tick op_end)
         return;
     for (TensorId t : it->second) {
         ctx.trace(obs::Label::VdnnOffload, t);
-        ctx.obs().metrics.add("vdnn.offloads");
+        ctx.obs().metrics.add(obs::Metric::VdnnOffloads);
         // Coupled swap-out: vDNN synchronizes the next layer on the copy.
         ctx.evictSwapBlocking(t);
     }
@@ -121,7 +121,7 @@ VdnnPolicy::onAccess(ExecContext &ctx, const AccessEvent &event)
     TensorId prev = targets_[it->second - 1];
     if (ctx.status(prev) == TensorStatus::Out) {
         ctx.trace(obs::Label::VdnnPrefetch, prev);
-        ctx.obs().metrics.add("vdnn.prefetches");
+        ctx.obs().metrics.add(obs::Metric::VdnnPrefetches);
         ctx.prefetchAsync(prev);
     }
 }

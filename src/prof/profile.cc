@@ -480,15 +480,15 @@ serveSummaryFromMetrics(const obs::MetricsRegistry &metrics)
 {
     ServeSummary s;
     s.present = true;
-    s.hits = metrics.counter("capu.serve.hit");
-    s.misses = metrics.counter("capu.serve.miss");
-    s.evictions = metrics.counter("capu.serve.evict");
-    s.diskLoads = metrics.counter("capu.serve.disk_load");
+    s.hits = metrics.counter(obs::Metric::ServeHit);
+    s.misses = metrics.counter(obs::Metric::ServeMiss);
+    s.evictions = metrics.counter(obs::Metric::ServeEvict);
+    s.diskLoads = metrics.counter(obs::Metric::ServeDiskLoad);
     s.cacheEntries = static_cast<std::uint64_t>(
-        metrics.gauge("capu.serve.cache.entries"));
+        metrics.gauge(obs::Metric::ServeCacheEntries));
     s.cacheBytes = static_cast<std::uint64_t>(
-        metrics.gauge("capu.serve.cache.bytes"));
-    s.hitRate = metrics.gauge("capu.serve.hit_rate");
+        metrics.gauge(obs::Metric::ServeCacheBytes));
+    s.hitRate = metrics.gauge(obs::Metric::ServeHitRate);
     return s;
 }
 

@@ -341,10 +341,10 @@ writeProfileJson(std::ostream &os, const Profile &p)
 }
 
 void
-loadBuckets(const json::Value &j, Buckets &b)
+loadBuckets(const json::Value &j, Buckets &b, bool &ok)
 {
     for (const auto &row : kBucketRows)
-        b.*row.field = j[row.key].asU64();
+        b.*row.field = j[row.key].asU64(ok);
 }
 
 } // namespace
@@ -405,108 +405,111 @@ loadProfileJson(const std::string &path, Profile &out, std::string *err)
         return false;
     }
     out = Profile{};
-    out.schema = static_cast<int>(root["capuprof"].asI64());
+    bool ok = true;
+    out.schema = static_cast<int>(root["capuprof"].asI64(ok));
     for (const std::string &k : root["meta"].keys) {
         const json::Value &v = root["meta"][k];
         if (v.kind == json::Value::Str)
             out.meta.emplace_back(k, v.str);
     }
     const json::Value &s = root["session"];
-    out.sessionBegin = s["begin"].asU64();
-    out.sessionEnd = s["end"].asU64();
-    out.wallTicks = s["wall_ns"].asU64();
-    out.events = s["events"].asU64();
-    out.droppedEvents = s["dropped"].asU64();
-    out.peakBytes = s["peak_bytes"].asU64();
-    out.peakTs = s["peak_ts"].asU64();
-    loadBuckets(root["buckets"], out.buckets);
+    out.sessionBegin = s["begin"].asU64(ok);
+    out.sessionEnd = s["end"].asU64(ok);
+    out.wallTicks = s["wall_ns"].asU64(ok);
+    out.events = s["events"].asU64(ok);
+    out.droppedEvents = s["dropped"].asU64(ok);
+    out.peakBytes = s["peak_bytes"].asU64(ok);
+    out.peakTs = s["peak_ts"].asU64(ok);
+    loadBuckets(root["buckets"], out.buckets, ok);
     for (const json::Value &j : root["iterations"].arr) {
         IterationProfile it;
-        it.iteration = static_cast<int>(j["iteration"].asI64());
-        it.begin = j["begin"].asU64();
-        it.end = j["end"].asU64();
+        it.iteration = static_cast<int>(j["iteration"].asI64(ok));
+        it.begin = j["begin"].asU64(ok);
+        it.end = j["end"].asU64(ok);
         it.digest = std::strtoull(j["digest"].str.c_str(), nullptr, 16);
         if (j.has("class"))
-            it.shapeClass = static_cast<int>(j["class"].asI64());
-        loadBuckets(j["buckets"], it.buckets);
+            it.shapeClass = static_cast<int>(j["class"].asI64(ok));
+        loadBuckets(j["buckets"], it.buckets, ok);
         out.iterations.push_back(it);
     }
     if (root.has("drift")) {
         const json::Value &d = root["drift"];
-        out.drift.classes = static_cast<int>(d["classes"].asI64());
-        out.drift.novel = static_cast<int>(d["novel"].asI64());
-        out.drift.remeasures = static_cast<int>(d["remeasures"].asI64());
+        out.drift.classes = static_cast<int>(d["classes"].asI64(ok));
+        out.drift.novel = static_cast<int>(d["novel"].asI64(ok));
+        out.drift.remeasures = static_cast<int>(d["remeasures"].asI64(ok));
         for (const json::Value &j : d["per_class"].arr) {
             out.drift.iterationsPerClass.push_back(
-                static_cast<int>(j["iterations"].asI64()));
-            out.drift.wallPerClass.push_back(j["wall_ns"].asU64());
+                static_cast<int>(j["iterations"].asI64(ok)));
+            out.drift.wallPerClass.push_back(j["wall_ns"].asU64(ok));
         }
     }
     if (root.has("serve")) {
         const json::Value &s = root["serve"];
         out.serve.present = true;
-        out.serve.hits = s["hits"].asU64();
-        out.serve.misses = s["misses"].asU64();
-        out.serve.evictions = s["evictions"].asU64();
-        out.serve.diskLoads = s["disk_loads"].asU64();
-        out.serve.cacheEntries = s["cache_entries"].asU64();
-        out.serve.cacheBytes = s["cache_bytes"].asU64();
+        out.serve.hits = s["hits"].asU64(ok);
+        out.serve.misses = s["misses"].asU64(ok);
+        out.serve.evictions = s["evictions"].asU64(ok);
+        out.serve.diskLoads = s["disk_loads"].asU64(ok);
+        out.serve.cacheEntries = s["cache_entries"].asU64(ok);
+        out.serve.cacheBytes = s["cache_bytes"].asU64(ok);
         out.serve.hitRate = s["hit_rate"].asDouble();
     }
     for (const json::Value &j : root["tensors"].arr) {
         TensorAccount a;
-        a.tensor = j["tensor"].asI64();
+        a.tensor = j["tensor"].asI64(ok);
         a.name = j["name"].str;
-        a.bytes = j["bytes"].asU64();
-        a.swapOutBytes = j["swap_out_bytes"].asU64();
-        a.swapInBytes = j["swap_in_bytes"].asU64();
-        a.swapOutCount = static_cast<int>(j["swap_out_count"].asI64());
-        a.swapInCount = static_cast<int>(j["swap_in_count"].asI64());
-        a.recomputeTicks = j["recompute_ns"].asU64();
-        a.recomputeOps = static_cast<int>(j["recompute_ops"].asI64());
-        a.stallTicks = j["stall_ns"].asU64();
-        a.transferTicks = j["transfer_ns"].asU64();
+        a.bytes = j["bytes"].asU64(ok);
+        a.swapOutBytes = j["swap_out_bytes"].asU64(ok);
+        a.swapInBytes = j["swap_in_bytes"].asU64(ok);
+        a.swapOutCount = static_cast<int>(j["swap_out_count"].asI64(ok));
+        a.swapInCount = static_cast<int>(j["swap_in_count"].asI64(ok));
+        a.recomputeTicks = j["recompute_ns"].asU64(ok);
+        a.recomputeOps = static_cast<int>(j["recompute_ops"].asI64(ok));
+        a.stallTicks = j["stall_ns"].asU64(ok);
+        a.transferTicks = j["transfer_ns"].asU64(ok);
         a.reliefByteTicks = j["relief_byte_ns"].asDouble();
-        a.overheadTicks = j["overhead_ns"].asU64();
+        a.overheadTicks = j["overhead_ns"].asU64(ok);
         a.residentAtPeak = j["resident_at_peak"].b;
         const json::Value &pf = j["prefetch"];
-        a.prefetch.early = static_cast<int>(pf["early"].asI64());
-        a.prefetch.onTime = static_cast<int>(pf["on_time"].asI64());
-        a.prefetch.late = static_cast<int>(pf["late"].asI64());
-        a.prefetch.missed = static_cast<int>(pf["missed"].asI64());
+        a.prefetch.early = static_cast<int>(pf["early"].asI64(ok));
+        a.prefetch.onTime = static_cast<int>(pf["on_time"].asI64(ok));
+        a.prefetch.late = static_cast<int>(pf["late"].asI64(ok));
+        a.prefetch.missed = static_cast<int>(pf["missed"].asI64(ok));
         out.tensors.push_back(std::move(a));
     }
     for (const json::Value &j : root["ops"].arr) {
         OpAccount o;
-        o.op = j["op"].asI64();
+        o.op = j["op"].asI64(ok);
         o.name = j["name"].str;
-        o.count = static_cast<int>(j["count"].asI64());
-        o.computeTicks = j["compute_ns"].asU64();
+        o.count = static_cast<int>(j["count"].asI64(ok));
+        o.computeTicks = j["compute_ns"].asU64(ok);
         out.ops.push_back(std::move(o));
     }
     const json::Value &c = root["critical_path"];
     out.critical.valid = c["valid"].b;
-    out.critical.makespan = c["makespan_ns"].asU64();
-    out.critical.events = c["events"].asU64();
-    out.critical.edges = c["edges"].asU64();
-    out.critical.zeroSlack = c["zero_slack"].asU64();
-    out.critical.maxSlack = c["max_slack_ns"].asU64();
-    out.critical.onPathTransfer = c["on_path_transfer_ns"].asU64();
-    out.critical.onPathRecompute = c["on_path_recompute_ns"].asU64();
-    out.critical.onPathWait = c["on_path_wait_ns"].asU64();
-    out.critical.pathLength = c["path_length"].asU64();
+    out.critical.makespan = c["makespan_ns"].asU64(ok);
+    out.critical.events = c["events"].asU64(ok);
+    out.critical.edges = c["edges"].asU64(ok);
+    out.critical.zeroSlack = c["zero_slack"].asU64(ok);
+    out.critical.maxSlack = c["max_slack_ns"].asU64(ok);
+    out.critical.onPathTransfer = c["on_path_transfer_ns"].asU64(ok);
+    out.critical.onPathRecompute = c["on_path_recompute_ns"].asU64(ok);
+    out.critical.onPathWait = c["on_path_wait_ns"].asU64(ok);
+    out.critical.pathLength = c["path_length"].asU64(ok);
     for (const json::Value &j : c["steps"].arr) {
         CriticalPathStep step;
         step.op = j["op"].str;
         step.stream = j["stream"].str;
-        step.tensor = j["tensor"].asI64();
-        step.opId = j["op_id"].asI64();
-        step.start = j["start"].asU64();
-        step.end = j["end"].asU64();
-        step.wait = j["wait"].asU64();
+        step.tensor = j["tensor"].asI64(ok);
+        step.opId = j["op_id"].asI64(ok);
+        step.start = j["start"].asU64(ok);
+        step.end = j["end"].asU64(ok);
+        step.wait = j["wait"].asU64(ok);
         out.critical.steps.push_back(std::move(step));
     }
-    return true;
+    if (!ok && err)
+        *err = "'" + path + "' has a number that is not a valid integer";
+    return ok;
 }
 
 } // namespace capu::prof

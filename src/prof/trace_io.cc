@@ -97,7 +97,13 @@ importChromeTrace(const std::string &path, TraceBundle &out,
     }
 
     const json::Value &other = root["otherData"];
-    out.dropped = other["dropped"].asU64();
+    bool ok = true;
+    out.dropped = other["dropped"].asU64(ok);
+    if (!ok) {
+        if (err)
+            *err = "'" + path + "' has a malformed dropped count";
+        return false;
+    }
     for (const std::string &key : other.keys) {
         if (key == "recorded" || key == "dropped")
             continue;
@@ -124,9 +130,9 @@ importChromeTrace(const std::string &path, TraceBundle &out,
         }
         ev.ts = ticksFromMicros(jev["ts"].asDouble());
         const json::Value &args = jev["args"];
-        ev.tensor = args.has("tensor") ? args["tensor"].asI64() : -1;
-        ev.op = args.has("op") ? args["op"].asI64() : -1;
-        ev.bytes = args["bytes"].asU64();
+        ev.tensor = args.has("tensor") ? args["tensor"].asI64(ok) : -1;
+        ev.op = args.has("op") ? args["op"].asI64(ok) : -1;
+        ev.bytes = args["bytes"].asU64(ok);
         switch (ev.phase()) {
           case obs::EventPhase::Complete:
             ev.dur = ticksFromMicros(jev["dur"].asDouble());
@@ -137,8 +143,13 @@ importChromeTrace(const std::string &path, TraceBundle &out,
             break;
           case obs::EventPhase::SpanBegin:
           case obs::EventPhase::SpanEnd:
-            ev.tensor = jev["id"].asI64();
+            ev.tensor = jev["id"].asI64(ok);
             break;
+        }
+        if (!ok) {
+            ++out.unknown; // an id or size no integer holds
+            ok = true;
+            continue;
         }
         switch (obs::labelInfo(ev.label).form) {
           case obs::LabelForm::Tensor:

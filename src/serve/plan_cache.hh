@@ -127,8 +127,6 @@ class PlanCache
     const PlanCacheStats &stats() const { return stats_; }
     std::size_t entries() const { return lru_.size(); }
     std::uint64_t bytes() const { return bytes_; }
-    std::size_t maxEntries() const { return maxEntries_; }
-    std::uint64_t maxBytes() const { return maxBytes_; }
 
   private:
     void evictOne();

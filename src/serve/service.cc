@@ -79,15 +79,14 @@ modelHash(const std::string &model)
 }
 
 PlanService::PlanService(PlanServiceConfig cfg, obs::MetricsRegistry *metrics)
-    : cfg_(std::move(cfg)), metrics_(metrics),
+    : cfg_(std::move(cfg)), metrics_(metrics ? metrics : &noMetrics_),
       cache_(cfg_.cacheEntries, cfg_.cacheBytes)
 {
     // Evicting a plan entry drops its template session in the same step:
     // a fork source must never outlive the plan it would answer with.
     cache_.setEvictionHook([this](const PlanCache::Entry &victim) {
         sessions_.drop(victim.key);
-        if (metrics_)
-            metrics_->add("capu.serve.evict");
+        metrics_->add(obs::Metric::ServeEvict);
     });
 }
 
@@ -103,23 +102,14 @@ PlanService::keyFor(const PlanRequest &request) const
 }
 
 void
-PlanService::count(const char *name)
-{
-    if (metrics_)
-        metrics_->add(name);
-}
-
-void
 PlanService::publishGauges()
 {
-    if (!metrics_)
-        return;
-    metrics_->set("capu.serve.cache.entries",
+    metrics_->set(obs::Metric::ServeCacheEntries,
                   static_cast<double>(cache_.entries()));
-    metrics_->set("capu.serve.cache.bytes",
+    metrics_->set(obs::Metric::ServeCacheBytes,
                   static_cast<double>(cache_.bytes()));
-    metrics_->set("capu.serve.hit_rate", cache_.stats().hitRate());
-    metrics_->set("capu.serve.inflight",
+    metrics_->set(obs::Metric::ServeHitRate, cache_.stats().hitRate());
+    metrics_->set(obs::Metric::ServeInflight,
                   static_cast<double>(inflight_.load()));
 }
 
@@ -179,7 +169,7 @@ PlanService::tryLoadFromDisk(const ServeKey &key, const PlanRequest &req,
     sessions_.store(key, std::move(session));
     resp.ok = true;
     fillFromEntry(resp, *entry);
-    count("capu.serve.disk_load");
+    metrics_->add(obs::Metric::ServeDiskLoad);
     publishGauges();
     return true;
 }
@@ -193,7 +183,7 @@ PlanService::handle(const PlanRequest &request)
     try {
         resp = handleLocked(request);
     } catch (const FatalError &e) {
-        count("capu.serve.error");
+        metrics_->add(obs::Metric::ServeError);
         resp = PlanResponse{};
         resp.error = e.what();
     }
@@ -213,7 +203,7 @@ PlanService::handleLocked(const PlanRequest &request)
         std::lock_guard<std::mutex> lock(mutex_);
         publishGauges();
         if (const PlanCache::Entry *entry = cache_.find(key)) {
-            count("capu.serve.hit");
+            metrics_->add(obs::Metric::ServeHit);
             resp.ok = true;
             resp.hit = true;
             fillFromEntry(resp, *entry);
@@ -221,7 +211,7 @@ PlanService::handleLocked(const PlanRequest &request)
             // its warm iterations run outside the lock.
             fork = sessions_.forkFor(key);
         } else {
-            count("capu.serve.miss");
+            metrics_->add(obs::Metric::ServeMiss);
         }
     }
     if (resp.hit) {
@@ -254,7 +244,7 @@ PlanService::handleLocked(const PlanRequest &request)
                     makeServePolicy(request.policy));
     auto r = session.run(cfg_.coldIterations);
     if (r.oom) {
-        count("capu.serve.error");
+        metrics_->add(obs::Metric::ServeError);
         resp.error = "cold planning run OOMed: " + r.oomMessage;
         return resp;
     }

@@ -123,11 +123,4 @@ PcieLink::lane(CopyDir dir) const
     return dir == CopyDir::DeviceToHost ? d2h_ : h2d_;
 }
 
-void
-PcieLink::reset()
-{
-    d2h_.reset();
-    h2d_.reset();
-}
-
 } // namespace capu

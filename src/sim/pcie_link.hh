@@ -94,10 +94,6 @@ class PcieLink
         h2d_.replayShift(dt, h2d_busy);
     }
 
-    double bandwidth() const { return bandwidth_; }
-
-    void reset();
-
   private:
     bool faultsOn() const { return faults_ && faults_->enabled(); }
 

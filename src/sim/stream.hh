@@ -56,8 +56,6 @@ class Stream
     /** Start tick of the most recently enqueued item. */
     Tick lastStart() const { return lastStart_; }
 
-    const std::string &name() const { return name_; }
-
     /** Total occupancy since construction / the last reset(). */
     Tick busyTime() const { return busyTicks_; }
 

@@ -16,6 +16,7 @@
 #ifndef CAPU_SUPPORT_JSON_HH
 #define CAPU_SUPPORT_JSON_HH
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -53,14 +54,28 @@ struct Value
 
     /** Numeric accessors; 0 when the value is not a number. */
     double asDouble() const { return kind == Num ? num : 0.0; }
-    std::int64_t asI64() const
+    /**
+     * A number that is not integral or does not fit the type is malformed
+     * input: the accessor returns 0 and clears `ok` (never sets it).
+     */
+    std::int64_t asI64(bool &ok) const
     {
-        return kind == Num ? static_cast<std::int64_t>(num) : 0;
+        return fits(-0x1p63, 0x1p63, ok) ? static_cast<std::int64_t>(num) : 0;
     }
-    std::uint64_t asU64() const
+    std::uint64_t asU64(bool &ok) const
     {
-        return kind == Num && num >= 0 ? static_cast<std::uint64_t>(num)
-                                       : 0;
+        return fits(0, 0x1p64, ok) ? static_cast<std::uint64_t>(num) : 0;
+    }
+
+  private:
+    /** An integral number in [lo, hi); a number that is not clears `ok`. */
+    bool fits(double lo, double hi, bool &ok) const
+    {
+        if (kind != Num)
+            return false;
+        bool in = std::trunc(num) == num && num >= lo && num < hi;
+        ok = ok && in;
+        return in;
     }
 };
 

@@ -43,11 +43,9 @@ driftConfig(const DynamicWorkload &dw, bool replay = true,
 }
 
 std::uint64_t
-counterValue(Session &s, const std::string &name)
+counterValue(Session &s, obs::Metric metric)
 {
-    const auto &counters = s.executor().obs().metrics.counters();
-    auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
+    return s.executor().obs().metrics.counter(metric);
 }
 
 void
@@ -179,8 +177,8 @@ TEST(DriftPlanCache, OneMeasuredIterationPerClass)
     // cached plan; a recurring class never re-enters measured execution.
     EXPECT_EQ(capu->shapeClassCount(), 3u);
     EXPECT_EQ(capu->remeasures(), 0);
-    EXPECT_EQ(counterValue(s, "capu.drift.novel_class"), 3u);
-    EXPECT_EQ(counterValue(s, "capu.drift.measured_iters"), 3u);
+    EXPECT_EQ(counterValue(s, obs::Metric::DriftNovelClass), 3u);
+    EXPECT_EQ(counterValue(s, obs::Metric::DriftMeasuredIters), 3u);
 }
 
 TEST(DriftPlanCache, StaticRunEmitsNoDriftMetrics)
@@ -190,8 +188,8 @@ TEST(DriftPlanCache, StaticRunEmitsNoDriftMetrics)
     Session s(buildModel(ModelKind::ResNet50, 64), cfg,
               makeCapuchinPolicy());
     ASSERT_FALSE(s.run(4).oom);
-    EXPECT_EQ(counterValue(s, "capu.drift.novel_class"), 0u);
-    EXPECT_EQ(counterValue(s, "capu.drift.measured_iters"), 0u);
+    EXPECT_EQ(counterValue(s, obs::Metric::DriftNovelClass), 0u);
+    EXPECT_EQ(counterValue(s, obs::Metric::DriftMeasuredIters), 0u);
 }
 
 // --- per-class steady-state replay ------------------------------------

@@ -124,22 +124,21 @@ void
 expectMetricsEqual(const obs::MetricsRegistry &a,
                    const obs::MetricsRegistry &b)
 {
-    for (const auto &[name, value] : a.counters())
-        EXPECT_EQ(value, b.counter(name)) << "counter " << name;
-    EXPECT_EQ(a.counters().size(), b.counters().size());
-    for (const auto &[name, value] : a.gauges())
-        EXPECT_EQ(value, b.gauge(name)) << "gauge " << name;
-    EXPECT_EQ(a.gauges().size(), b.gauges().size());
-    for (const auto &[name, hist] : a.histograms()) {
-        const obs::Histogram *other = b.histogram(name);
-        ASSERT_NE(other, nullptr) << "histogram " << name;
-        EXPECT_EQ(hist.count(), other->count()) << "histogram " << name;
-        EXPECT_EQ(hist.sum(), other->sum()) << "histogram " << name;
-        for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i)
-            EXPECT_EQ(hist.bucket(i), other->bucket(i))
-                << "histogram " << name << " bucket " << i;
+    for (std::size_t i = 0; i < obs::kMetricCount; ++i) {
+        auto id = static_cast<obs::Metric>(i);
+        std::string_view name = obs::kMetricTable[i].name;
+        EXPECT_EQ(a.touched(id), b.touched(id)) << name;
+        EXPECT_EQ(a.counter(id), b.counter(id)) << name;
+        EXPECT_EQ(a.gauge(id), b.gauge(id)) << name;
+        const obs::Histogram *x = a.histogram(id);
+        const obs::Histogram *y = b.histogram(id);
+        if (x == nullptr || y == nullptr)
+            continue;
+        EXPECT_EQ(x->count(), y->count()) << name;
+        EXPECT_EQ(x->sum(), y->sum()) << name;
+        for (std::size_t k = 0; k < obs::Histogram::kBuckets; ++k)
+            EXPECT_EQ(x->bucket(k), y->bucket(k)) << name << " bucket " << k;
     }
-    EXPECT_EQ(a.histograms().size(), b.histograms().size());
 }
 
 void

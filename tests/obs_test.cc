@@ -115,7 +115,7 @@ TEST(Tracer, DroppedSurfacesAsMetricCounter)
     ASSERT_FALSE(r.oom) << r.oomMessage;
     const obs::Obs &o = s.executor().obs();
     EXPECT_GT(o.tracer.dropped(), 0u);
-    EXPECT_EQ(o.metrics.counter("capu.obs.trace_dropped"),
+    EXPECT_EQ(o.metrics.counter(obs::Metric::TraceDropped),
               o.tracer.dropped());
 }
 
@@ -129,30 +129,53 @@ TEST(Tracer, DisabledDropsEverything)
 
 // --- Metrics registry ---
 
+TEST(Metrics, TableNamesAreUniqueAndSorted)
+{
+    // Exporters print in table order, and metricByName binary-searches it.
+    for (std::size_t i = 0; i < obs::kMetricCount; ++i) {
+        std::string_view name = obs::kMetricTable[i].name;
+        if (i > 0) {
+            EXPECT_LT(obs::kMetricTable[i - 1].name, name) << name;
+        }
+        auto id = obs::metricByName(name);
+        ASSERT_TRUE(id.has_value()) << name;
+        EXPECT_EQ(static_cast<std::size_t>(*id), i) << name;
+    }
+    EXPECT_FALSE(obs::metricByName("no.such.metric").has_value());
+}
+
 TEST(Metrics, SnapshotRecordsCounterDeltas)
 {
+    constexpr auto kX = obs::Metric::SwapOutBytes;
+    constexpr auto kG = obs::Metric::BfcFragmentation;
+    constexpr auto x = static_cast<std::size_t>(kX);
+    constexpr auto g = static_cast<std::size_t>(kG);
     obs::MetricsRegistry m;
     m.setEnabled(true);
-    m.add("x", 5);
+    m.add(kX, 5);
     m.snapshotIteration(0);
-    m.add("x", 3);
-    m.set("g", 0.5);
+    m.add(kX, 3);
+    m.set(kG, 0.5);
     m.snapshotIteration(1);
     ASSERT_EQ(m.iterations().size(), 2u);
-    EXPECT_DOUBLE_EQ(m.iterations()[0].values.at("x"), 5.0);
-    EXPECT_DOUBLE_EQ(m.iterations()[1].values.at("x"), 3.0);
-    EXPECT_DOUBLE_EQ(m.iterations()[1].values.at("g"), 0.5);
-    EXPECT_EQ(m.counter("x"), 8u);
+    EXPECT_DOUBLE_EQ(m.iterations()[0].values[x], 5.0);
+    EXPECT_FALSE(m.iterations()[0].touched.test(g));
+    EXPECT_DOUBLE_EQ(m.iterations()[1].values[x], 3.0);
+    EXPECT_DOUBLE_EQ(m.iterations()[1].values[g], 0.5);
+    EXPECT_EQ(m.counter(kX), 8u);
+    EXPECT_EQ(m.counter("swap.out.bytes"), 8u);
 }
 
 TEST(Metrics, HistogramBuckets)
 {
+    constexpr auto kH = obs::Metric::RecomputeChainOps;
     obs::MetricsRegistry m;
     m.setEnabled(true);
-    m.observe("h", 0);
-    m.observe("h", 1);
-    m.observe("h", 100);
-    const obs::Histogram *h = m.histogram("h");
+    EXPECT_EQ(m.histogram(kH), nullptr);
+    m.observe(kH, 0);
+    m.observe(kH, 1);
+    m.observe(kH, 100);
+    const obs::Histogram *h = m.histogram(kH);
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->count(), 3u);
     EXPECT_EQ(h->sum(), 101u);
@@ -164,9 +187,10 @@ TEST(Metrics, HistogramBuckets)
 TEST(Metrics, DisabledIgnoresMutations)
 {
     obs::MetricsRegistry m;
-    m.add("x", 5);
+    m.add(obs::Metric::SwapOutBytes, 5);
     m.snapshotIteration(0);
-    EXPECT_EQ(m.counter("x"), 0u);
+    EXPECT_EQ(m.counter(obs::Metric::SwapOutBytes), 0u);
+    EXPECT_FALSE(m.touched(obs::Metric::SwapOutBytes));
     EXPECT_TRUE(m.iterations().empty());
 }
 
@@ -272,8 +296,10 @@ TEST(ChromeTrace, MetricsExportsParse)
     obs::writeMetricsCsv(cs, m);
     std::string csv = cs.str();
     // Header + one row per iteration + one #histogram footer row each.
-    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'),
-              4 + static_cast<std::int64_t>(m.histograms().size()));
+    std::int64_t histograms = 0;
+    for (std::size_t i = 0; i < obs::kMetricCount; ++i)
+        histograms += m.histogram(static_cast<obs::Metric>(i)) != nullptr;
+    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4 + histograms);
     EXPECT_EQ(csv.rfind("iteration", 0), 0u);
 }
 
@@ -285,8 +311,8 @@ TEST(Metrics, HistogramPercentiles)
     obs::MetricsRegistry m;
     m.setEnabled(true);
     for (std::uint64_t v = 1; v <= 1000; ++v)
-        m.observe("h", v);
-    const obs::Histogram *h = m.histogram("h");
+        m.observe(obs::Metric::RecomputeChainOps, v);
+    const obs::Histogram *h = m.histogram(obs::Metric::RecomputeChainOps);
     ASSERT_NE(h, nullptr);
     EXPECT_GE(h->p50(), 256u);
     EXPECT_LE(h->p50(), 512u);
@@ -296,16 +322,16 @@ TEST(Metrics, HistogramPercentiles)
     EXPECT_LE(h->p99(), 1000u);
     EXPECT_GE(h->p95(), h->p50());
     // Degenerate distributions pin every percentile to the single value.
-    m.observe("one", 42);
-    const obs::Histogram *one = m.histogram("one");
-    EXPECT_EQ(one->p50(), 42u);
-    EXPECT_EQ(one->p99(), 42u);
+    obs::Histogram one;
+    one.observe(42);
+    EXPECT_EQ(one.p50(), 42u);
+    EXPECT_EQ(one.p99(), 42u);
     // Percentiles ride along in the JSON export.
     std::ostringstream js;
     obs::writeMetricsJson(js, m);
     Json root;
     ASSERT_TRUE(json::parse(js.str(), root));
-    const Json &hist = root["histograms"]["h"];
+    const Json &hist = root["histograms"]["recompute.chain_ops"];
     ASSERT_FALSE(hist.isNull());
     EXPECT_DOUBLE_EQ(hist["p50"].num, static_cast<double>(h->p50()));
     EXPECT_DOUBLE_EQ(hist["p95"].num, static_cast<double>(h->p95()));
@@ -327,17 +353,18 @@ TEST(ObsInvariants, SwapByteConservation)
     const obs::MetricsRegistry &m = s.executor().obs().metrics;
     // Every byte swapped out either came back in or retired with its host
     // copy — transition-level conservation across the whole run.
-    EXPECT_GT(m.counter("tensor.out_bytes"), 0u) << "run never swapped";
-    EXPECT_EQ(m.counter("tensor.out_bytes"),
-              m.counter("tensor.in_bytes") +
-                  m.counter("tensor.retired_host_bytes"));
+    EXPECT_GT(m.counter(obs::Metric::TensorOutBytes), 0u)
+        << "run never swapped";
+    EXPECT_EQ(m.counter(obs::Metric::TensorOutBytes),
+              m.counter(obs::Metric::TensorInBytes) +
+                  m.counter(obs::Metric::TensorRetiredHostBytes));
 }
 
 TEST(ObsInvariants, PrefetchHiddenRatioInRange)
 {
     Session &s = tracedVgg16();
     const obs::MetricsRegistry &m = s.executor().obs().metrics;
-    double ratio = m.gauge("prefetch.hidden_ratio");
+    double ratio = m.gauge(obs::Metric::PrefetchHiddenRatio);
     EXPECT_GE(ratio, 0.0);
     EXPECT_LE(ratio, 1.0);
 }
@@ -357,7 +384,8 @@ TEST(ObsInvariants, KernelEventsMatchKernelBusy)
     Tick stats = 0;
     // Session keeps only aggregate results; re-derive from the metrics.
     const obs::MetricsRegistry &m = s.executor().obs().metrics;
-    stats = m.counter("compute.kernel_ns") + m.counter("compute.recompute_ns");
+    stats = m.counter(obs::Metric::ComputeKernelNs) +
+            m.counter(obs::Metric::ComputeRecomputeNs);
     EXPECT_EQ(traced, stats);
 }
 

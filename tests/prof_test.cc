@@ -462,8 +462,9 @@ TEST(ProfRoundTrip, EveryLabelFormatsAndParsesBack)
 TEST(ProfRoundTrip, UnknownLabelsAreSkipped)
 {
     // A label no table row produces, a known label under the wrong
-    // category, a Number label without a number and a known label with
-    // the wrong phase are each skipped and counted; the rest imports.
+    // category, a Number label without a number, a known label with the
+    // wrong phase and a tensor id no integer holds are each skipped and
+    // counted; the rest imports.
     std::string path = tempPath("prof_unknown.json");
     {
         std::ofstream os(path);
@@ -472,6 +473,8 @@ TEST(ProfRoundTrip, UnknownLabelsAreSkipped)
 {"name":"stall:x","cat":"recovery","tid":7,"ts":2,"ph":"X","dur":1},
 {"name":"iter:abc","cat":"marker","tid":0,"ts":3,"ph":"i"},
 {"name":"oom.raise","cat":"oom","tid":0,"ts":4,"ph":"e","id":1},
+{"name":"stall:x","cat":"stall","tid":0,"ts":6,"ph":"X","dur":1,
+ "args":{"tensor":1e300}},
 {"name":"iter:3","cat":"marker","tid":0,"ts":5,"ph":"i"}
 ],"otherData":{"recorded":5,"dropped":0}})";
     }
@@ -479,7 +482,7 @@ TEST(ProfRoundTrip, UnknownLabelsAreSkipped)
     std::string err;
     ASSERT_TRUE(prof::importChromeTrace(path, bundle, &err)) << err;
     std::remove(path.c_str());
-    EXPECT_EQ(bundle.unknown, 4u);
+    EXPECT_EQ(bundle.unknown, 5u);
     ASSERT_EQ(bundle.events.size(), 1u);
     EXPECT_EQ(bundle.events[0].label, obs::Label::IterBegin);
     EXPECT_EQ(bundle.events[0].number, 3);
