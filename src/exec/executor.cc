@@ -1093,6 +1093,13 @@ Executor::replayBumpWeight(TensorId id, int bumps)
     setWeightVersion(id, state(id).weightVersion + bumps);
 }
 
+void
+Executor::replayRestagePending(const std::vector<PendingFree> &frees)
+{
+    mem_.restagePending(frees);
+    fedBfc_ = mem_.gpu().stats();
+}
+
 // --- ExecContext queries ---
 
 TensorStatus

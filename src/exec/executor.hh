@@ -397,6 +397,14 @@ class Executor : public ExecContext
      */
     void replayBumpWeight(TensorId id, int bumps);
 
+    /**
+     * Replace the pending deferred frees with `frees` (the state an
+     * executed iteration of the synthesized class leaves). The allocator
+     * work this takes is not fed to the metrics: the replayed deltas
+     * already hold what the executed iteration counted.
+     */
+    void replayRestagePending(const std::vector<PendingFree> &frees);
+
   private:
     const Graph &graph_;
     ExecConfig config_;

@@ -72,6 +72,25 @@ MemoryManager::drainAll()
     deferred_.applyUpTo(std::numeric_limits<Tick>::max(), gpu_);
 }
 
+std::vector<PendingFree>
+MemoryManager::pendingFrees() const
+{
+    std::vector<PendingFree> out;
+    for (const auto &[when, handle] : deferred_.snapshotPending())
+        out.push_back({when, handle, gpu_.allocationSize(handle)});
+    return out;
+}
+
+void
+MemoryManager::restagePending(const std::vector<PendingFree> &frees)
+{
+    drainAll();
+    for (const PendingFree &f : frees) {
+        gpu_.allocateAt(f.handle, f.bytes);
+        deferred_.post(f.when, f.handle);
+    }
+}
+
 void
 MemoryManager::attachTracer(obs::Tracer *tracer)
 {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "memory/bfc_allocator.hh"
 #include "memory/deferred_free.hh"
@@ -25,6 +26,15 @@
 
 namespace capu
 {
+
+/** One posted-but-unapplied GPU free. */
+struct PendingFree
+{
+    Tick when;
+    MemHandle handle;
+    /** Chunk size. */
+    std::uint64_t bytes;
+};
 
 class MemoryManager
 {
@@ -67,12 +77,15 @@ class MemoryManager
     /** capureplay: shift every pending deferred free by `delta`. */
     void shiftPendingFrees(Tick delta) { deferred_.shiftPending(delta); }
 
-    /** Pending (maturity, handle) pairs in application order (digests). */
-    std::vector<std::pair<Tick, MemHandle>>
-    pendingFrees() const
-    {
-        return deferred_.snapshotPending();
-    }
+    /** Pending frees in application order (replay digests). */
+    std::vector<PendingFree> pendingFrees() const;
+
+    /**
+     * capureplay: replace the pending frees with `frees` — apply every
+     * current one, then re-allocate each of `frees`' chunks in place and
+     * post it. Emits no trace samples.
+     */
+    void restagePending(const std::vector<PendingFree> &frees);
 
     /**
      * Emit gpu.bytes_in_use counter samples on the memory track after each

@@ -26,7 +26,8 @@ ReplayEngine::ReplayEngine(const ReplayEngine &other, Executor &exec,
     : exec_(exec), policy_(policy), opts_(other.opts_),
       armed_(other.armed_), disabled_(other.disabled_),
       weightIds_(other.weightIds_), haveMarks_(other.haveMarks_),
-      marks_(other.marks_), tracks_(other.tracks_),
+      marks_(other.marks_), machineState_(other.machineState_),
+      tracks_(other.tracks_),
       summary_(other.summary_)
 {
 }
@@ -41,8 +42,15 @@ ReplayEngine::canReplay()
         return false;
     if (policy_ && !policy_->stableForReplay())
         return false;
-    if (opts_.auditInterval > 0 &&
-        tr.replayedSinceAudit >= opts_.auditInterval) {
+    // A template's deltas (allocator counters included) hold only from
+    // the state it started in, and synthesis re-stages the pending frees
+    // but nothing else. An iteration executed from a state no template
+    // covers checks the fixed point just as an audit does.
+    auto it = tr.templates.find(machineState_);
+    bool covered = it != tr.templates.end() &&
+                   it->second.start.resident == it->second.end.resident;
+    if (!covered || (opts_.auditInterval > 0 &&
+                     tr.replayedSinceAudit >= opts_.auditInterval)) {
         tr.auditPending = true;
         return false;
     }
@@ -58,11 +66,13 @@ ReplayEngine::observe(const IterationStats &stats)
     if (!haveMarks_) {
         // First executed iteration after (re)entry: only a baseline.
         captureMarks(marks_);
+        machineState_ = machineStateOf(stats.end, nullptr);
         haveMarks_ = true;
         return;
     }
     Delta delta = captureDelta(stats);
     captureMarks(marks_);
+    machineState_ = delta.end;
     bool stable = !policy_ || policy_->stableForReplay();
     // The class that just executed (Session selects it before running, so
     // it is still current here).
@@ -76,10 +86,12 @@ ReplayEngine::observe(const IterationStats &stats)
         tr.replayedSinceAudit = 0;
         if (was_audit)
             ++summary_.audits;
-        if (stable && delta.digest == tr.tpl.digest) {
-            // Digest reproduced: refresh the template so its cached trace
-            // events and clock offsets stay ring-fresh.
-            tr.tpl = std::move(delta);
+        if (stable && delta.digest == tr.lastDigest) {
+            // Digest reproduced: add or refresh the template for this
+            // start state, keeping cached trace events and clock offsets
+            // ring-fresh.
+            MachineState start = delta.start;
+            tr.templates.insert_or_assign(start, std::move(delta));
             return;
         }
         if (was_audit) {
@@ -92,6 +104,7 @@ ReplayEngine::observe(const IterationStats &stats)
         // The fixed point moved (legitimately, if the policy adapted);
         // hunt for the new one.
         tr.state = State::Observing;
+        tr.templates.clear();
         tr.lastDigest = delta.digest;
         tr.haveLastDigest = stable;
         return;
@@ -100,7 +113,8 @@ ReplayEngine::observe(const IterationStats &stats)
     // Observing: two consecutive stable iterations of this shape class
     // with equal digests establish its fixed point.
     if (stable && tr.haveLastDigest && delta.digest == tr.lastDigest) {
-        tr.tpl = std::move(delta);
+        MachineState start = delta.start;
+        tr.templates.emplace(start, std::move(delta));
         tr.state = State::Steady;
         tr.replayedSinceAudit = 0;
         return;
@@ -119,6 +133,7 @@ ReplayEngine::noteAbort()
     for (auto &[cls, tr] : tracks_) {
         (void)cls;
         tr.state = State::Observing;
+        tr.templates.clear();
         tr.haveLastDigest = false;
         tr.auditPending = false;
         tr.replayedSinceAudit = 0;
@@ -130,18 +145,26 @@ IterationStats
 ReplayEngine::synthesize()
 {
     Track &tr = tracks_[exec_.shapeClass()];
-    IterationStats st = tr.tpl.stats;
+    const Delta &tpl = tr.templates.at(machineState_);
+    IterationStats st = tpl.stats;
     // Same begin rule as Executor::beginIterationState; at the fixed point
     // both operands equal the previous iteration's end.
     Tick now = std::max(exec_.now(), exec_.computeStream().busyUntil());
     st.iteration = exec_.iteration();
     st.begin = now;
-    st.end = now + tr.tpl.shift.dt;
+    st.end = now + tpl.shift.dt;
 
-    emitSynthesized(st, tr.tpl);
-    exec_.replayApply(tr.tpl.shift);
-    for (const auto &[id, bumps] : tr.tpl.weightBumps)
+    emitSynthesized(st, tpl);
+    exec_.replayApply(tpl.shift);
+    for (const auto &[id, bumps] : tpl.weightBumps)
         exec_.replayBumpWeight(id, bumps);
+    if (tpl.start.pending != tpl.end.pending) {
+        std::vector<PendingFree> frees = tpl.endPending;
+        for (PendingFree &f : frees)
+            f.when += st.end;
+        exec_.replayRestagePending(frees);
+    }
+    machineState_ = tpl.end;
 
     // Re-baseline after every synthesized iteration: an eventual audit
     // must diff exactly one executed iteration, not the accumulated
@@ -193,8 +216,52 @@ ReplayEngine::captureDelta(const IterationStats &stats) const
     if (exec_.obs().tracing())
         d.events = exec_.obs().tracer.eventsSince(marks_.tracerMark);
 
+    d.start = machineState_;
+    d.end = machineStateOf(stats.end, &d.endPending);
     d.digest = digestOf(d);
     return d;
+}
+
+ReplayEngine::MachineState
+ReplayEngine::machineStateOf(Tick end, std::vector<PendingFree> *pending) const
+{
+    std::uint64_t resident = hashString("capureplay/resident");
+    auto mix = [&resident](std::uint64_t v) {
+        resident = hashCombine(resident, v);
+    };
+
+    // Resource horizons relative to iteration end, clamped to zero: a
+    // horizon at or before `end` is a behavioral don't-care (an idle lane
+    // stays idle however far in the past it drained), and clamping keeps
+    // such lanes from blocking digest convergence. A free maturing at or
+    // before `end` applies at the next allocation all the same.
+    auto rel = [end](Tick t) { return t > end ? t - end : 0; };
+    mix(rel(exec_.computeStream().busyUntil()));
+    mix(rel(exec_.pcie().laneBusyUntil(CopyDir::DeviceToHost)));
+    mix(rel(exec_.pcie().laneBusyUntil(CopyDir::HostToDevice)));
+    mix(rel(exec_.computeBarrierTick()));
+    mix(rel(exec_.now()));
+
+    // Allocator fixed point. Free chunks coalesce, so the allocated
+    // chunks fix the arena layout; those awaiting a free are hashed apart.
+    std::vector<PendingFree> frees = exec_.memory().pendingFrees();
+    std::uint64_t queued = hashString("capureplay/pending");
+    for (PendingFree &f : frees) {
+        f.when = rel(f.when);
+        queued = hashCombine(queued, f.when);
+        queued = hashCombine(queued, f.handle);
+        queued = hashCombine(queued, f.bytes);
+    }
+    for (const auto &c : exec_.memory().gpu().snapshot()) {
+        if (c.free || exec_.memory().isFreePending(c.offset))
+            continue;
+        mix(c.offset);
+        mix(c.size);
+    }
+    mix(exec_.memory().host().bytesInUse());
+    if (pending)
+        *pending = std::move(frees);
+    return {resident, queued};
 }
 
 std::uint64_t
@@ -228,30 +295,8 @@ ReplayEngine::digestOf(const Delta &d) const
     mix(s.prefetchBusy);
     mix(s.prefetchStall);
     mix(s.peakGpuBytes);
-
-    // Resource horizons relative to iteration end, clamped to zero: a
-    // horizon at or before `end` is a behavioral don't-care (an idle lane
-    // stays idle however far in the past it drained), and clamping keeps
-    // such lanes from blocking digest convergence.
-    Tick end = s.end;
-    auto rel = [end](Tick t) { return t > end ? t - end : 0; };
-    mix(rel(exec_.computeStream().busyUntil()));
-    mix(rel(exec_.pcie().laneBusyUntil(CopyDir::DeviceToHost)));
-    mix(rel(exec_.pcie().laneBusyUntil(CopyDir::HostToDevice)));
-    mix(rel(exec_.computeBarrierTick()));
-    mix(rel(exec_.now()));
-
-    // Allocator fixed point: the exact arena layout and the host pool.
-    for (const auto &c : exec_.memory().gpu().snapshot()) {
-        mix(c.offset);
-        mix(c.size);
-        mix(c.free ? 1u : 0u);
-    }
-    mix(exec_.memory().host().bytesInUse());
-    for (const auto &[when, handle] : exec_.memory().pendingFrees()) {
-        mix(rel(when));
-        mix(handle);
-    }
+    mix(d.end.resident);
+    mix(d.end.pending);
 
     for (const auto &[id, bumps] : d.weightBumps) {
         mix(static_cast<std::uint64_t>(id));

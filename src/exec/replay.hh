@@ -29,16 +29,19 @@
  * Dynamic workloads (capudrift): digests, templates and steady/observing
  * state are all tracked *per shape class* — a recurring class of a dynamic
  * stream reaches its own fixed point and synthesizes even while other
- * classes are still measuring. This works because every iteration returns
- * the arena to the weights-only layout: each class's iteration starts from
- * an equivalent machine state regardless of which class ran before it, so
- * per-class digests converge under interleaving. Audit mismatches count
- * globally and disarm the whole engine.
+ * classes are still measuring. Classes differ in the pending frees they
+ * leave behind, and the next iteration drains them (its allocator
+ * counters depend on which class ran before it). A steady class therefore
+ * keeps one template per machine state it was executed from, synthesizes
+ * only from a state it has a template for, and leaves the pending frees
+ * exactly as an executed iteration would. Audit mismatches count globally
+ * and disarm the whole engine.
  */
 
 #ifndef CAPU_EXEC_REPLAY_HH
 #define CAPU_EXEC_REPLAY_HH
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -111,6 +114,20 @@ class ReplayEngine
         obs::MetricsRegistry::Values metrics;
     };
 
+    /** The machine state an iteration hands to the next one. */
+    struct MachineState
+    {
+        /**
+         * Resource horizons relative to the iteration end, the arena
+         * chunks not awaiting a free, host pool occupancy.
+         */
+        std::uint64_t resident = 0;
+        /** Pending frees: maturity relative to the end, chunk, size. */
+        std::uint64_t pending = 0;
+
+        auto operator<=>(const MachineState &) const = default;
+    };
+
     /** Everything one iteration changed — the replayable template. */
     struct Delta
     {
@@ -120,6 +137,10 @@ class ReplayEngine
         /** Re-emitted, never digested; filled only while metrics are on. */
         obs::MetricsRegistry::Values metrics;
         std::vector<obs::TraceEvent> events;
+        MachineState start;
+        MachineState end;
+        /** Pending frees left at the end, maturities relative to it. */
+        std::vector<PendingFree> endPending;
         std::uint64_t digest = 0;
     };
 
@@ -132,15 +153,20 @@ class ReplayEngine
     struct Track
     {
         State state = State::Observing;
+        /** While Steady, the fixed point's digest. */
         std::uint64_t lastDigest = 0;
         bool haveLastDigest = false;
-        Delta tpl;
+        /** While Steady: templates keyed by the state they started from. */
+        std::map<MachineState, Delta> templates;
         int replayedSinceAudit = 0;
         bool auditPending = false;
     };
 
     void captureMarks(Marks &into) const;
     Delta captureDelta(const IterationStats &stats) const;
+    /** The machine state now, for an iteration that ended at `end`. */
+    MachineState machineStateOf(Tick end,
+                                std::vector<PendingFree> *pending) const;
     std::uint64_t digestOf(const Delta &delta) const;
     void emitSynthesized(const IterationStats &st, const Delta &tpl);
 
@@ -154,6 +180,8 @@ class ReplayEngine
 
     bool haveMarks_ = false;
     Marks marks_;
+    /** State the last iteration (executed or synthesized) left. */
+    MachineState machineState_;
     std::map<std::uint64_t, Track> tracks_;
     ReplaySummary summary_;
 };

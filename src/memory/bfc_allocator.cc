@@ -126,6 +126,39 @@ BfcAllocator::allocate(std::uint64_t bytes, Placement placement)
 }
 
 void
+BfcAllocator::allocateAt(MemHandle offset, std::uint64_t bytes)
+{
+    auto it = chunks_.upper_bound(offset);
+    if (it == chunks_.begin())
+        panic("allocateAt({}, {}): no chunk", offset, bytes);
+    --it;
+    Chunk chunk = it->second;
+    if (!chunk.free || offset + bytes > chunk.offset + chunk.size)
+        panic("allocateAt({}, {}): range not inside one free chunk", offset,
+              bytes);
+    eraseFree(chunk);
+    chunks_.erase(it);
+    if (offset > chunk.offset) {
+        Chunk below{chunk.offset, offset - chunk.offset, true};
+        chunks_.emplace(below.offset, below);
+        insertFree(below);
+        ++stats_.splitCount;
+    }
+    if (offset + bytes < chunk.offset + chunk.size) {
+        Chunk above{offset + bytes, chunk.offset + chunk.size - offset - bytes,
+                    true};
+        chunks_.emplace(above.offset, above);
+        insertFree(above);
+        ++stats_.splitCount;
+    }
+    chunks_.emplace(offset, Chunk{offset, bytes, false});
+    stats_.bytesInUse += bytes;
+    stats_.peakBytesInUse =
+        std::max(stats_.peakBytesInUse, stats_.bytesInUse);
+    ++stats_.totalAllocs;
+}
+
+void
 BfcAllocator::deallocate(MemHandle handle)
 {
     auto it = chunks_.find(handle);

@@ -74,6 +74,13 @@ class BfcAllocator
     std::optional<MemHandle> allocate(std::uint64_t bytes,
                                       Placement placement = Placement::Auto);
 
+    /**
+     * capureplay: allocate exactly [offset, offset + bytes), which must lie
+     * inside one free chunk (`bytes` is a chunk size, already rounded).
+     * Panics otherwise.
+     */
+    void allocateAt(MemHandle offset, std::uint64_t bytes);
+
     /** Release an allocation; coalesces with free neighbours. */
     void deallocate(MemHandle handle);
 

@@ -191,6 +191,19 @@ inline constexpr MetricInfo kMetricTable[] = {
 
 inline constexpr std::size_t kMetricCount = std::size(kMetricTable);
 
+/** Whether the table's names strictly ascend (so are also unique). */
+constexpr bool
+metricTableSorted()
+{
+    for (std::size_t i = 1; i < kMetricCount; ++i)
+        if (!(kMetricTable[i - 1].name < kMetricTable[i].name))
+            return false;
+    return true;
+}
+// Exporters print in table order, and metricByName binary-searches it.
+static_assert(metricTableSorted(),
+              "CAPU_METRICS rows must be in strictly ascending name order");
+
 /** One bit per metric id. */
 using MetricSet = std::bitset<kMetricCount>;
 

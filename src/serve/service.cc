@@ -79,14 +79,14 @@ modelHash(const std::string &model)
 }
 
 PlanService::PlanService(PlanServiceConfig cfg, obs::MetricsRegistry *metrics)
-    : cfg_(std::move(cfg)), metrics_(metrics ? metrics : &noMetrics_),
+    : cfg_(std::move(cfg)), metrics_(metrics),
       cache_(cfg_.cacheEntries, cfg_.cacheBytes)
 {
     // Evicting a plan entry drops its template session in the same step:
     // a fork source must never outlive the plan it would answer with.
     cache_.setEvictionHook([this](const PlanCache::Entry &victim) {
         sessions_.drop(victim.key);
-        metrics_->add(obs::Metric::ServeEvict);
+        count(obs::Metric::ServeEvict);
     });
 }
 
@@ -102,8 +102,17 @@ PlanService::keyFor(const PlanRequest &request) const
 }
 
 void
+PlanService::count(obs::Metric metric)
+{
+    if (metrics_)
+        metrics_->add(metric);
+}
+
+void
 PlanService::publishGauges()
 {
+    if (!metrics_)
+        return;
     metrics_->set(obs::Metric::ServeCacheEntries,
                   static_cast<double>(cache_.entries()));
     metrics_->set(obs::Metric::ServeCacheBytes,
@@ -169,7 +178,7 @@ PlanService::tryLoadFromDisk(const ServeKey &key, const PlanRequest &req,
     sessions_.store(key, std::move(session));
     resp.ok = true;
     fillFromEntry(resp, *entry);
-    metrics_->add(obs::Metric::ServeDiskLoad);
+    count(obs::Metric::ServeDiskLoad);
     publishGauges();
     return true;
 }
@@ -183,7 +192,7 @@ PlanService::handle(const PlanRequest &request)
     try {
         resp = handleLocked(request);
     } catch (const FatalError &e) {
-        metrics_->add(obs::Metric::ServeError);
+        count(obs::Metric::ServeError);
         resp = PlanResponse{};
         resp.error = e.what();
     }
@@ -203,7 +212,7 @@ PlanService::handleLocked(const PlanRequest &request)
         std::lock_guard<std::mutex> lock(mutex_);
         publishGauges();
         if (const PlanCache::Entry *entry = cache_.find(key)) {
-            metrics_->add(obs::Metric::ServeHit);
+            count(obs::Metric::ServeHit);
             resp.ok = true;
             resp.hit = true;
             fillFromEntry(resp, *entry);
@@ -211,7 +220,7 @@ PlanService::handleLocked(const PlanRequest &request)
             // its warm iterations run outside the lock.
             fork = sessions_.forkFor(key);
         } else {
-            metrics_->add(obs::Metric::ServeMiss);
+            count(obs::Metric::ServeMiss);
         }
     }
     if (resp.hit) {
@@ -244,7 +253,7 @@ PlanService::handleLocked(const PlanRequest &request)
                     makeServePolicy(request.policy));
     auto r = session.run(cfg_.coldIterations);
     if (r.oom) {
-        metrics_->add(obs::Metric::ServeError);
+        count(obs::Metric::ServeError);
         resp.error = "cold planning run OOMed: " + r.oomMessage;
         return resp;
     }

@@ -123,10 +123,9 @@ class PlanService
     bool tryLoadFromDisk(const ServeKey &key, const PlanRequest &req,
                          PlanResponse &resp);
     std::string planPath(const ServeKey &key) const;
+    void count(obs::Metric metric);
 
     PlanServiceConfig cfg_;
-    /** Disabled stand-in when the caller passes no registry. */
-    obs::MetricsRegistry noMetrics_;
     obs::MetricsRegistry *metrics_;
     std::mutex mutex_; ///< guards cache_ + sessions_
     PlanCache cache_;

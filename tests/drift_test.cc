@@ -19,6 +19,7 @@
 #include "analysis/lint_hooks.hh"
 #include "core/capuchin_policy.hh"
 #include "exec/session.hh"
+#include "metrics_equal.hh"
 #include "models/workload.hh"
 #include "models/zoo.hh"
 #include "obs/obs.hh"
@@ -215,6 +216,8 @@ TEST(DriftReplay, PerClassBitIdentityUnderInterleaving)
         EXPECT_EQ(ron.replay.auditMismatches, 0);
         EXPECT_EQ(roff.replay.replayed, 0);
         expectIterationsEqual(ron, roff);
+        expectMetricsEqual(on.executor().obs().metrics,
+                           off.executor().obs().metrics);
     }
 }
 

@@ -330,6 +330,43 @@ TEST(MemoryManager, AllocateWaitingFailsWithNoPending)
     mm.freeNow(20, *h1);
 }
 
+TEST(MemoryManager, RestagePendingReproducesLayout)
+{
+    // Same resident chunk, different pending frees: restaging b to a's
+    // pending frees must leave the identical arena and queue.
+    MemoryManager a(1_MiB, 1_GiB);
+    MemoryManager b(1_MiB, 1_GiB);
+    for (MemoryManager *mm : {&a, &b})
+        ASSERT_TRUE(mm->allocate(0, 64_KiB, BfcAllocator::Placement::Low));
+    auto a1 = a.allocate(0, 100_KiB);
+    auto a2 = a.allocate(0, 30_KiB);
+    a.freeAt(10, *a1);
+    a.freeAt(20, *a2);
+    auto b1 = b.allocate(0, 500_KiB);
+    b.freeAt(5, *b1);
+
+    b.restagePending(a.pendingFrees());
+    b.gpu().checkInvariants();
+    auto sa = a.gpu().snapshot();
+    auto sb = b.gpu().snapshot();
+    ASSERT_EQ(sa.size(), sb.size());
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+        EXPECT_EQ(sa[i].offset, sb[i].offset) << i;
+        EXPECT_EQ(sa[i].size, sb[i].size) << i;
+        EXPECT_EQ(sa[i].free, sb[i].free) << i;
+    }
+    auto pa = a.pendingFrees();
+    auto pb = b.pendingFrees();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+        EXPECT_EQ(pa[i].when, pb[i].when) << i;
+        EXPECT_EQ(pa[i].handle, pb[i].handle) << i;
+        EXPECT_EQ(pa[i].bytes, pb[i].bytes) << i;
+    }
+    // Only a range inside one free chunk can be allocated in place.
+    EXPECT_THROW(b.gpu().allocateAt(*a1, 256), PanicError);
+}
+
 TEST(MemoryManager, DrainAll)
 {
     MemoryManager mm(1_MiB, 1_GiB);

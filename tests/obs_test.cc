@@ -129,21 +129,6 @@ TEST(Tracer, DisabledDropsEverything)
 
 // --- Metrics registry ---
 
-TEST(Metrics, TableNamesAreUniqueAndSorted)
-{
-    // Exporters print in table order, and metricByName binary-searches it.
-    for (std::size_t i = 0; i < obs::kMetricCount; ++i) {
-        std::string_view name = obs::kMetricTable[i].name;
-        if (i > 0) {
-            EXPECT_LT(obs::kMetricTable[i - 1].name, name) << name;
-        }
-        auto id = obs::metricByName(name);
-        ASSERT_TRUE(id.has_value()) << name;
-        EXPECT_EQ(static_cast<std::size_t>(*id), i) << name;
-    }
-    EXPECT_FALSE(obs::metricByName("no.such.metric").has_value());
-}
-
 TEST(Metrics, SnapshotRecordsCounterDeltas)
 {
     constexpr auto kX = obs::Metric::SwapOutBytes;
